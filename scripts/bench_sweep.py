@@ -16,6 +16,8 @@ import sys
 from softkm.cli import main as softkm_main
 from softkm.synth import two_gaussians
 
+from labelled_csv import write_labelled_csv
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -28,10 +30,7 @@ def main(argv=None):
     X, labels = two_gaussians()
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
-    with open(data_path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,label\n")
-        for j in range(X.shape[1]):
-            fh.write(f"{float(X[0, j])!r},{float(X[1, j])!r},{int(labels[j])}\n")
+    write_labelled_csv(data_path, X, labels)
 
     seeds = list(range(args.seeds))
     runs = [

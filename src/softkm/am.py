@@ -1,9 +1,11 @@
-"""Alternating-minimization baseline for the soft k-means objective.
+"""Alternating minimization for the soft k-means objective: the engine
+shared with the minimal-volume solver, and the AM baseline built on it.
 
-Alternates the exact prototype update F = X G (G^T G + ridge I)^{-1} with
-per-sample membership solves. Converges to a stationary point only; the
-closed-form solver gives the global reference the trace can be checked
-against.
+The engine alternates the exact prototype update F (G^T G + T) = A G, for a
+k x k term T, with warm-started membership solves, and stops on one
+scale-free rule: |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2).
+AM takes T = ridge * trace(G^T G)/k * I and converges to a stationary point
+only; the closed-form solver gives the global reference.
 """
 
 from __future__ import annotations
@@ -60,6 +62,33 @@ def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
     return F.copy()
 
 
+def _alternate(A, F, gram_term, loss, opts, energy):
+    """Alternate F-updates and membership solves on the d x n data A from
+    the d x k start F. gram_term(F, GtG) is the k x k term added to G^T G,
+    loss(F, G) the objective; opts gives max_outer_iters and rel_obj_tol,
+    and energy = ||Xc||_F^2 floors the stop rule so that it is scale-free.
+    Returns (F, G, trace), trace[0] taken after the initial membership solve.
+    """
+    G = solve_membership(F, A)
+    trace = [loss(F, G)]
+    for _ in range(opts.max_outer_iters):
+        GtG = G.T @ G
+        try:
+            F = np.linalg.solve(GtG + gram_term(F, GtG), (A @ G).T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"singular system in F-update: {exc}") from exc
+        if not np.all(np.isfinite(F)):
+            raise NumericalFailure("non-finite prototypes in F-update")
+        G = solve_membership(F, A, warm=G)
+        L = loss(F, G)
+        if not np.isfinite(L):
+            raise NumericalFailure("non-finite objective value")
+        trace.append(L)
+        if abs(trace[-2] - L) <= opts.rel_obj_tol * max(abs(trace[-2]), energy):
+            break
+    return F, G, trace
+
+
 def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[float]]:
     """Run alternating minimization from a seeded start.
 
@@ -74,31 +103,21 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
     (Solution, trace)
         trace[0] is the objective after the initial membership solve and
         one entry follows per outer iteration; it is non-increasing up to
-        round-off. Stops when the relative decrease falls below
-        rel_obj_tol or max_outer_iters is reached.
+        round-off. Stops when the objective changes by at most
+        rel_obj_tol * max(|L_prev|, ||Xc||_F^2), the rule shared with
+        solve_mvskm, or when max_outer_iters is reached.
     """
     opts = opts or AmOptions()
     if not isinstance(X, DataMatrix):
         X = center(X)
     if not isinstance(k, (int, np.integer)) or k < 1 or k > X.n:
         raise InvalidInput(f"k must be in [1, {X.n}], got {k}")
-    F = _initial_prototypes(X, k, opts.init, opts.seed)
-    G = solve_membership(F, X)
-    trace = [objective(X, F, G)]
-    tiny = float(np.finfo(float).tiny)
-    for _ in range(opts.max_outer_iters):
-        M = G.T @ G
-        M[np.diag_indices_from(M)] += opts.ridge * np.trace(M) / k
-        try:
-            F = np.linalg.solve(M, (X.values @ G).T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular normal equations in F-update: {exc}") from exc
-        if not np.all(np.isfinite(F)):
-            raise NumericalFailure("non-finite prototypes in F-update")
-        G = solve_membership(F, X, warm=G)
-        obj = objective(X, F, G)
-        trace.append(obj)
-        prev = trace[-2]
-        if prev - obj <= opts.rel_obj_tol * max(prev, tiny):
-            break
+    F, G, trace = _alternate(
+        X.values,
+        _initial_prototypes(X, k, opts.init, opts.seed),
+        lambda F, GtG: opts.ridge * np.trace(GtG) / k * np.eye(k),
+        lambda F, G: objective(X, F, G),
+        opts,
+        float(np.sum(X.centered * X.centered)),
+    )
     return Solution(F, G, trace[-1]), trace

@@ -33,17 +33,18 @@ EXIT_NUMERICAL = 3
 
 
 def _add_solver_parser(sub, name: str, blurb: str):
-    p = sub.add_parser(name, help=blurb)
-    p.add_argument("--input", required=True, help="samples-as-rows CSV")
+    # flags left out are absent from the namespace, so RunConfig's defaults apply
+    p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
+    p.add_argument("--input", dest="input_path", required=True, help="samples-as-rows CSV")
     p.add_argument("--k", type=int, required=True, help="number of prototypes")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=float,
                    help="volume penalty weight (required for solve-mvskm)")
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", dest="rel_obj_tol", type=float,
                    help="relative objective tolerance for iterative solvers")
-    p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--out", dest="output_dir", required=True, help="output directory")
     return p
 
 
@@ -77,25 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solver_name(command: str) -> str:
-    return command.removeprefix("solve-")
-
-
 def _cmd_solve(args) -> int:
-    cfg = RunConfig(
-        solver=_solver_name(args.command),
-        k=args.k,
-        input_path=args.input,
-        output_dir=args.out,
-        lam=args.lam,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        rel_obj_tol=args.tol,
-        max_iters=args.max_iters,
-    )
+    fields = vars(args).copy()
+    cfg = RunConfig(solver=fields.pop("command").removeprefix("solve-"), **fields)
     res = run(cfg)
     print(f"solver={res.solver} k={res.k} objective={res.objective:.12g} "
-          f"iterations={res.iterations} out={args.out}")
+          f"iterations={res.iterations} out={cfg.output_dir}")
     return EXIT_OK
 
 
@@ -127,31 +115,45 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# optional bench spec key -> (RunConfig field, type); absent keys keep RunConfig's defaults
+_SPEC_FIELDS = {
+    "epsilon": ("epsilon", float),
+    "tol": ("rel_obj_tol", float),
+    "max_iters": ("max_iters", int),
+}
+
+
 def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str, str]:
     for key in ("input", "out", "runs"):
         if key not in spec:
             raise InvalidInput(f"bench spec is missing {key!r}")
-    input_path, out_dir = spec["input"], spec["out"]
+    input_path, out_dir, runs = spec["input"], spec["out"], spec["runs"]
+    if not isinstance(runs, list):
+        raise InvalidInput(f"bench spec runs must be a list of objects, got {runs!r}")
     configs = []
-    for i, entry in enumerate(spec["runs"]):
-        solver = entry.get("solver")
-        if solver not in ("global", "am", "mvskm"):
-            raise InvalidInput(f"runs[{i}]: unknown solver {solver!r}")
-        seeds = entry.get("seeds", [entry.get("seed", 0)])
-        if solver == "global":
-            seeds = seeds[:1]  # deterministic: one row regardless of seeds
-        for seed in seeds:
-            configs.append(RunConfig(
-                solver=solver,
-                k=int(entry.get("k", 0)),
-                input_path=input_path,
-                output_dir=f"{out_dir}/run_{len(configs):03d}_{solver}",
-                lam=entry.get("lambda"),
-                epsilon=float(entry.get("epsilon", 1e-8)),
-                seed=int(seed),
-                rel_obj_tol=float(entry.get("tol", 1e-8)),
-                max_iters=int(entry.get("max_iters", 300)),
-            ))
+    for i, entry in enumerate(runs):
+        try:
+            if not isinstance(entry, dict):
+                raise InvalidInput(f"expected an object, got {entry!r}")
+            solver = entry.get("solver")
+            k = int(entry.get("k", 0))  # 0 is rejected by RunConfig: k is required
+            seeds = entry.get("seeds", [entry.get("seed", 0)])
+            if solver == "global":
+                seeds = seeds[:1]  # deterministic: one row regardless of seeds
+            fields = {name: cast(entry[key]) for key, (name, cast) in _SPEC_FIELDS.items()
+                      if key in entry}
+            for seed in seeds:
+                configs.append(RunConfig(
+                    solver=solver,
+                    k=k,
+                    input_path=input_path,
+                    output_dir=f"{out_dir}/run_{len(configs):03d}_{solver}",
+                    lam=entry.get("lambda"),
+                    seed=int(seed),
+                    **fields,
+                ))
+        except (InvalidInput, TypeError, ValueError) as exc:
+            raise InvalidInput(f"runs[{i}]: {exc}") from None
     return configs, input_path, out_dir
 
 

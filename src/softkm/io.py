@@ -200,8 +200,7 @@ def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
             )
 
 
-def _execute(config: RunConfig):
-    X, _ = load_csv(config.input_path)
+def _execute(config: RunConfig, X: DataMatrix):
     t0 = time.perf_counter()
     sol, trace = _solve(config, X)
     runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -235,7 +234,7 @@ def _execute(config: RunConfig):
         runtime_ms=runtime_ms,
         objective_trace=[float(v) for v in trace],
     )
-    return result, sol, X
+    return result, sol
 
 
 def run(config: RunConfig) -> RunResult:
@@ -245,7 +244,8 @@ def run(config: RunConfig) -> RunResult:
     (stable key order, no timing), and for 2-d inputs plotdata.csv with the
     hard-labeled samples plus flagged prototype rows.
     """
-    return _execute(config)[0]
+    X, _ = load_csv(config.input_path)
+    return _execute(config, X)[0]
 
 
 _BENCH_COLUMNS = ("solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity")
@@ -262,11 +262,12 @@ def bench(configs, truth) -> list[dict]:
     if len({c.input_path for c in configs}) != 1:
         raise InvalidInput("bench configurations must share one input file")
     truth = np.asarray(truth)
+    X, _ = load_csv(configs[0].input_path)
+    if truth.shape[0] != X.n:
+        raise InvalidInput("label count does not match the input samples")
     rows = []
     for cfg in configs:
-        res, sol, X = _execute(cfg)
-        if truth.shape[0] != X.n:
-            raise InvalidInput("label count does not match the input samples")
+        res, sol = _execute(cfg, X)
         pred = hard_assign(sol.membership)
         rows.append({
             "solver": cfg.solver,

@@ -9,10 +9,10 @@ with the sum over all k singular values (zeros included when rank(F) < k)
 and eps > 0 keeping the penalty finite. The closed-form optimum of the
 unregularized problem is unique only up to a rotation that rescales the
 simplex; the penalty selects the smallest simplex compatible with the data,
-pulling prototypes toward the samples. Minimization alternates an exact
-F-update against a tangent majorizer of the log term (built from the
-reweight matrix D) with per-sample membership solves, and the objective
-trace never increases.
+pulling prototypes toward the samples. Minimization runs the alternating
+engine of the AM baseline, with an exact F-update against a tangent
+majorizer of the log term (built from the reweight matrix D) and its one
+scale-free stop rule, and the objective trace never increases.
 
 The solver centers the data internally and reports prototypes with the mean
 added back.
@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .am import _alternate, _initial_prototypes
 from .core import DataMatrix, Solution, as_matrix, center
-from .errors import DegenerateSimplex, InvalidInput, NumericalFailure, PreconditionViolated
-from .simplex import solve_membership
+from .errors import DegenerateSimplex, InvalidInput, PreconditionViolated
+from .global_solver import objective
+from .simplex import solve_membership  # noqa: F401  (an attribute bench/harness.py wraps)
 
 __all__ = [
     "MvskmOptions",
@@ -157,8 +159,9 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
     lam/2 as well or the step can overshoot and the trace loses
     monotonicity. G is then refreshed with warm-started membership solves,
     so the trace of L(F, G) values never increases (within round-off).
-    Stops when |L_prev - L| falls below rel_obj_tol * max(1, |L_prev|);
-    L can be negative, hence the absolute floor.
+    The loop is the engine shared with solve_am, run on the centered data;
+    it stops when |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2),
+    a rule that keeps its meaning for negative L and at any data scale.
 
     Returns the Solution in original coordinates (mean added back to F,
     objective is the plain reconstruction error) plus the final MvskmState
@@ -172,42 +175,16 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
         raise InvalidInput(f"k must be in [2, {X.n}], got {k}")
     lam, eps = float(opts.lam), float(opts.epsilon)
     Xc = X.centered
-
-    if isinstance(opts.init, str):
-        if opts.init != "random_points":
-            raise InvalidInput(f"unknown init {opts.init!r}")
-        rng = np.random.default_rng(opts.seed)
-        idx = rng.choice(X.n, size=k, replace=False)
-        F = Xc[:, np.sort(idx)].copy()
-    else:
-        F = as_matrix(opts.init, "initial prototypes")
-        if F.shape != (X.d, k):
-            raise InvalidInput(f"initial prototypes must be {X.d}x{k}")
-        F = F - X.mean[:, None]  # original coordinates, centered internally
-
-    Xc_dm = center(Xc)
-    G = solve_membership(F, Xc_dm)
-    trace = [mvskm_objective(Xc, F, G, lam, eps)]
-    for _ in range(opts.max_outer_iters):
-        D = reweight_matrix(F, eps)
-        M = G.T @ G + 0.5 * lam * D
-        try:
-            F = np.linalg.solve(M, (Xc @ G).T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"singular system in F-update: {exc}") from exc
-        if not np.all(np.isfinite(F)):
-            raise NumericalFailure("non-finite prototypes in F-update")
-        G = solve_membership(F, Xc_dm, warm=G)
-        L = mvskm_objective(Xc, F, G, lam, eps)
-        if not np.isfinite(L):
-            raise NumericalFailure("non-finite objective value")
-        trace.append(L)
-        prev = trace[-2]
-        if abs(prev - L) <= opts.rel_obj_tol * max(1.0, abs(prev)):
-            break
+    F, G, trace = _alternate(
+        Xc,
+        _initial_prototypes(X, k, opts.init, opts.seed) - X.mean[:, None],
+        lambda F, GtG: 0.5 * lam * reweight_matrix(F, eps),
+        lambda F, G: mvskm_objective(Xc, F, G, lam, eps),
+        opts,
+        float(np.sum(Xc * Xc)),
+    )
     F_out = F + X.mean[:, None]
-    R = X.values - F_out @ G.T
-    sol = Solution(F_out, G, float(np.sum(R * R)))
+    sol = Solution(F_out, G, objective(X, F_out, G))
     state = MvskmState(
         F=F,
         G=G,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import softkm.am as am_module
 from conftest import decomposable_instance, random_instance
 from softkm import AmOptions, InvalidInput, NumericalFailure, center, objective, solve_am, solve_global
+from softkm.synth import two_gaussians
 
 
 class TestSolveAm:
@@ -57,6 +59,20 @@ class TestSolveAm:
         X = random_instance(23, 4, 70)
         _, trace = solve_am(X, 3, AmOptions(max_outer_iters=3, rel_obj_tol=0.0))
         assert len(trace) == 4
+
+    def test_rising_objective_is_not_convergence(self, monkeypatch):
+        values = iter(range(100))
+        monkeypatch.setattr(am_module, "objective", lambda X, F, G: float(next(values)))
+        _, trace = solve_am(random_instance(23, 4, 70), 3, AmOptions(max_outer_iters=5))
+        assert len(trace) == 6
+
+    def test_stop_is_scale_free(self):
+        X, _ = two_gaussians()
+        opts = AmOptions(max_outer_iters=300, seed=4)
+        _, trace = solve_am(X, 3, opts)
+        _, scaled = solve_am(1e-4 * X, 3, opts)
+        assert len(trace) < 301
+        assert len(scaled) == len(trace)
 
     def test_singular_normal_equations_without_ridge(self):
         # identical prototype columns pin every membership row at the uniform

@@ -333,3 +333,16 @@ class TestCli:
              "runs": [{"solver": "global", "k": 2}]}))
         assert main(["bench", "--spec", spec]) == 2
         capsys.readouterr()
+        malformed = [
+            [{"solver": "am", "k": "two"}],
+            [{"solver": "am", "k": 2, "tol": "tight"}],
+            ["am"],
+            {"solver": "am"},
+            [{"solver": "am", "k": 2, "seeds": 3}],
+        ]
+        for j, runs in enumerate(malformed):
+            spec = write(tmp_path / f"malformed{j}.json", json.dumps(
+                {"input": inp, "out": str(tmp_path / "o"), "runs": runs}))
+            assert main(["bench", "--spec", spec]) == 2
+            err = capsys.readouterr().err
+            assert ("runs[0]: " if isinstance(runs, list) else "runs must be a list") in err
