@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, as_matrix, center, numerical_rank
+from .core import DataMatrix, as_matrix, center, double_center, numerical_rank
 from .errors import InvalidInput, NotPositiveSemidefinite
 from .global_solver import objective, rotate_solution, solve_global
 
@@ -81,20 +81,13 @@ def is_skmable(X, k: int, tau: float = 1e-10) -> bool:
     return numerical_rank(X.centered, tau) <= k - 1
 
 
-def _double_center(K: np.ndarray) -> np.ndarray:
-    # H K H without materializing H = I - ones ones^T / n
-    rm = K.mean(axis=1, keepdims=True)
-    cm = K.mean(axis=0, keepdims=True)
-    return K - rm - cm + K.mean()
-
-
 def is_ti_lsdable(K, k: int, tau: float = 1e-10) -> bool:
     """Kernel-side decomposability: the doubly centered kernel H K H must
     have numerical rank at most k - 1."""
     Km = _as_kernel(K)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidInput(f"k must be a positive integer, got {k}")
-    return numerical_rank(_double_center(Km), tau) <= k - 1
+    return numerical_rank(double_center(Km), tau) <= k - 1
 
 
 def kernel_embed(K, tau: float = 1e-10) -> np.ndarray:

@@ -11,10 +11,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .audits import is_skmable, is_ti_lsdable, _double_center
-from .core import numerical_rank
+from .audits import KernelMatrix
+from .core import double_center, numerical_rank
 from .errors import InvalidInput, NumericalFailure, SoftKMError
 from .io import (
     RunConfig,
@@ -89,19 +87,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     X, _ = load_csv(args.input)
+    if args.k < 1:
+        raise InvalidInput(f"k must be a positive integer, got {args.k}")
     if args.command == "check-skmable":
-        ok = is_skmable(X, args.k, args.tau)
-        rank = numerical_rank(X.centered, args.tau)
+        A = X.centered
     else:
-        if getattr(args, "kernel", False):
-            K = X.values
-            if K.shape[0] != K.shape[1]:
-                raise InvalidInput("--kernel input must be a square matrix")
-        else:
-            K = X.values.T @ X.values
-        ok = is_ti_lsdable(K, args.k, args.tau)
-        rank = numerical_rank(_double_center(np.asarray(K, dtype=float)), args.tau)
-    print("true" if ok else "false")
+        K = X.values if getattr(args, "kernel", False) else X.values.T @ X.values
+        A = double_center(KernelMatrix(K).K)
+    # the audit's own test (is_skmable, is_ti_lsdable), from the one rank computed here
+    rank = numerical_rank(A, args.tau)
+    print("true" if rank <= args.k - 1 else "false")
     print(f"numerical_rank={rank}")
     return EXIT_OK
 
@@ -115,15 +110,13 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# optional bench spec key -> (RunConfig field, type); absent keys keep RunConfig's defaults
-_SPEC_FIELDS = {
-    "epsilon": ("epsilon", float),
-    "tol": ("rel_obj_tol", float),
-    "max_iters": ("max_iters", int),
-}
+# bench spec key -> RunConfig field; absent keys keep RunConfig's defaults,
+# and RunConfig checks every value
+_SPEC_KEYS = {"solver": "solver", "k": "k", "lambda": "lam", "seed": "seed",
+              "epsilon": "epsilon", "tol": "rel_obj_tol", "max_iters": "max_iters"}
 
 
-def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str, str]:
+def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str]:
     for key in ("input", "out", "runs"):
         if key not in spec:
             raise InvalidInput(f"bench spec is missing {key!r}")
@@ -135,26 +128,30 @@ def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str, str]:
         try:
             if not isinstance(entry, dict):
                 raise InvalidInput(f"expected an object, got {entry!r}")
-            solver = entry.get("solver")
-            k = int(entry.get("k", 0))  # 0 is rejected by RunConfig: k is required
-            seeds = entry.get("seeds", [entry.get("seed", 0)])
-            if solver == "global":
-                seeds = seeds[:1]  # deterministic: one row regardless of seeds
-            fields = {name: cast(entry[key]) for key, (name, cast) in _SPEC_FIELDS.items()
-                      if key in entry}
-            for seed in seeds:
+            unknown = sorted(set(entry) - set(_SPEC_KEYS) - {"seeds"})
+            if unknown:
+                raise InvalidInput(f"unknown keys {unknown}")
+            fields = {_SPEC_KEYS[key]: value for key, value in entry.items() if key != "seeds"}
+            per_seed = [{}]  # one config, with the entry's seed or the default
+            if "seeds" in entry:
+                seeds = entry["seeds"]
+                if "seed" in entry:
+                    raise InvalidInput("give seeds or seed, not both")
+                if not isinstance(seeds, list) or not seeds:
+                    raise InvalidInput(f"seeds must be a nonempty list, got {seeds!r}")
+                per_seed = [{"seed": seed} for seed in seeds]
+            if fields.get("solver") == "global":
+                per_seed = per_seed[:1]  # deterministic: one row regardless of seeds
+            for extra in per_seed:
                 configs.append(RunConfig(
-                    solver=solver,
-                    k=k,
                     input_path=input_path,
-                    output_dir=f"{out_dir}/run_{len(configs):03d}_{solver}",
-                    lam=entry.get("lambda"),
-                    seed=int(seed),
+                    output_dir=f"{out_dir}/run_{len(configs):03d}_{fields.get('solver')}",
                     **fields,
+                    **extra,
                 ))
-        except (InvalidInput, TypeError, ValueError) as exc:
+        except (InvalidInput, TypeError) as exc:
             raise InvalidInput(f"runs[{i}]: {exc}") from None
-    return configs, input_path, out_dir
+    return configs, out_dir
 
 
 def _cmd_bench(args) -> int:
@@ -165,11 +162,8 @@ def _cmd_bench(args) -> int:
         raise InvalidInput(f"bench spec not found: {args.spec}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"bench spec is not valid JSON: {exc}") from None
-    configs, input_path, out_dir = _expand_bench_spec(spec)
-    _, truth = load_csv(input_path)
-    if truth is None:
-        raise InvalidInput("bench input must carry a label column")
-    rows = bench(configs, truth)
+    configs, out_dir = _expand_bench_spec(spec)
+    rows = bench(configs)
     write_bench_outputs(rows, out_dir)
     print(format_bench_table(rows))
     return EXIT_OK

@@ -19,6 +19,7 @@ __all__ = [
     "Solution",
     "as_matrix",
     "center",
+    "double_center",
     "simplex_complement_basis",
     "truncated_svd",
     "numerical_rank",
@@ -145,6 +146,13 @@ def center(X) -> DataMatrix:
         raise InvalidInput("data matrix contains non-finite entries")
     mean = A.mean(axis=1)
     return DataMatrix(values=A, mean=mean, centered=A - mean[:, None])
+
+
+def double_center(K) -> np.ndarray:
+    """H K H for the centering matrix H = I - ones ones^T / n, without
+    materializing H: every row and column of the result sums to zero."""
+    K = np.asarray(K, dtype=float)
+    return K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) + K.mean()
 
 
 def simplex_complement_basis(k: int) -> np.ndarray:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,37 +41,54 @@ __all__ = [
 _SOLVERS = ("global", "am", "mvskm")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# RunConfig field -> (test its value must pass, what the error says it must be)
+_FIELD_CHECKS = {
+    "solver": (lambda v: v in _SOLVERS, f"one of {_SOLVERS}"),
+    "input_path": (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path"),
+    "output_dir": (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path"),
+    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "max_iters": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
+    "epsilon": (lambda v: _is_number(v) and v > 0, "a strictly positive number"),
+    "rel_obj_tol": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
-    input lives and the artifacts go."""
+    input lives and the artifacts go. Construction checks every field,
+    whatever the solver: k, seed and max_iters are integers (not bool), lam,
+    epsilon and rel_obj_tol numbers, each in its range; mvskm needs lam.
+    epsilon is stored as a float; the iterative defaults are MvskmOptions'.
+    """
 
     solver: str
     k: int
     input_path: str
     output_dir: str
     lam: float | None = None
-    epsilon: float = 1e-8
+    epsilon: float = MvskmOptions.epsilon
     seed: int = 0
-    rel_obj_tol: float = 1e-8
-    max_iters: int = 300
+    rel_obj_tol: float = MvskmOptions.rel_obj_tol
+    max_iters: int = MvskmOptions.max_outer_iters
 
     def __post_init__(self):
-        if self.solver not in _SOLVERS:
-            raise InvalidInput(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise InvalidInput(f"k must be a positive integer, got {self.k}")
-        if not self.input_path or not self.output_dir:
-            raise InvalidInput("input_path and output_dir are required")
-        if self.solver == "mvskm":
-            if self.lam is None or not self.lam >= 0:
-                raise InvalidInput("mvskm requires a nonnegative lambda")
-            if not self.epsilon > 0:
-                raise InvalidInput("epsilon must be strictly positive")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be at least 1")
-        if not self.rel_obj_tol >= 0:
-            raise InvalidInput("rel_obj_tol must be nonnegative")
+        for name, (ok, what) in _FIELD_CHECKS.items():
+            if not ok(getattr(self, name)):
+                raise InvalidInput(f"{name} must be {what}, got {getattr(self, name)!r}")
+        if self.solver == "mvskm" and self.lam is None:
+            raise InvalidInput("mvskm requires a nonnegative lambda")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -203,26 +221,6 @@ def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
 def _execute(config: RunConfig, X: DataMatrix):
     t0 = time.perf_counter()
     sol, trace = _solve(config, X)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    iterations = max(len(trace) - 1, 1)
-    os.makedirs(config.output_dir, exist_ok=True)
-    save_matrix_csv(os.path.join(config.output_dir, "membership.csv"), sol.membership)
-    save_matrix_csv(os.path.join(config.output_dir, "prototypes.csv"), sol.prototypes.T)
-    payload = {
-        "solver": config.solver,
-        "k": config.k,
-        "seed": config.seed,
-        "lambda": config.lam,
-        "epsilon": config.epsilon,
-        "objective": sol.objective,
-        "iterations": iterations,
-        "objective_trace": [float(v) for v in trace],
-    }
-    with open(os.path.join(config.output_dir, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    if X.d == 2:
-        _write_plotdata(os.path.join(config.output_dir, "plotdata.csv"), X, sol)
     result = RunResult(
         solver=config.solver,
         k=config.k,
@@ -230,10 +228,20 @@ def _execute(config: RunConfig, X: DataMatrix):
         lam=config.lam,
         epsilon=config.epsilon,
         objective=sol.objective,
-        iterations=iterations,
-        runtime_ms=runtime_ms,
+        iterations=max(len(trace) - 1, 1),
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
         objective_trace=[float(v) for v in trace],
     )
+    os.makedirs(config.output_dir, exist_ok=True)
+    save_matrix_csv(os.path.join(config.output_dir, "membership.csv"), sol.membership)
+    save_matrix_csv(os.path.join(config.output_dir, "prototypes.csv"), sol.prototypes.T)
+    payload = {"lambda" if name == "lam" else name: value
+               for name, value in asdict(result).items() if name != "runtime_ms"}
+    with open(os.path.join(config.output_dir, "result.json"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    if X.d == 2:
+        _write_plotdata(os.path.join(config.output_dir, "plotdata.csv"), X, sol)
     return result, sol
 
 
@@ -251,34 +259,27 @@ def run(config: RunConfig) -> RunResult:
 _BENCH_COLUMNS = ("solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity")
 
 
-def bench(configs, truth) -> list[dict]:
-    """Run several configurations against shared labeled input and score
-    each with accuracy, NMI, and purity. Returns one row dict per config."""
+def bench(configs) -> list[dict]:
+    """Run several configurations on their one shared input file and score
+    each against that file's label column with accuracy, NMI, and purity.
+    The file is parsed once; an input without a label column raises
+    InvalidInput before any solve. Returns one row dict per config."""
     configs = list(configs)
     if not configs:
         raise InvalidInput("bench needs at least one configuration")
-    if truth is None:
-        raise InvalidInput("bench requires ground-truth labels")
     if len({c.input_path for c in configs}) != 1:
         raise InvalidInput("bench configurations must share one input file")
-    truth = np.asarray(truth)
-    X, _ = load_csv(configs[0].input_path)
-    if truth.shape[0] != X.n:
-        raise InvalidInput("label count does not match the input samples")
+    X, truth = load_csv(configs[0].input_path)
+    if truth is None:
+        raise InvalidInput("bench input must carry a label column")
     rows = []
     for cfg in configs:
         res, sol = _execute(cfg, X)
         pred = hard_assign(sol.membership)
-        rows.append({
-            "solver": cfg.solver,
-            "k": cfg.k,
-            "seed": cfg.seed,
-            "lambda": cfg.lam if cfg.lam is not None else 0.0,
-            "objective": res.objective,
-            "acc": accuracy(pred, truth),
-            "nmi": nmi(pred, truth),
-            "purity": purity(pred, truth),
-        })
+        row = {name: getattr(res, name) for name in ("solver", "k", "seed", "objective")}
+        rows.append({**row, "lambda": 0.0 if res.lam is None else res.lam,
+                     "acc": accuracy(pred, truth), "nmi": nmi(pred, truth),
+                     "purity": purity(pred, truth)})
     return rows
 
 

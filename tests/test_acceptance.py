@@ -34,7 +34,7 @@ from softkm import (
     solve_simplex_ls,
     stability_audit,
 )
-from softkm.audits import _double_center
+from softkm.core import double_center
 from softkm.synth import in_convex_hull, two_gaussians
 from test_metrics import brute_accuracy
 
@@ -216,7 +216,7 @@ def test_criterion_08_kernel_side_consistency():
         Y = kernel_embed(K)
         k = 2
         sol, _ = solve_global(Y, k)
-        lam = np.sort(np.linalg.eigvalsh(_double_center(K)))[::-1]
+        lam = np.sort(np.linalg.eigvalsh(double_center(K)))[::-1]
         expected = float(np.clip(lam[k - 1:], 0.0, None).sum())
         worst_rel = max(worst_rel, abs(sol.objective - expected) / expected)
     ok = agree == 50 and worst_rel <= 1e-8

@@ -17,7 +17,7 @@ from softkm import (
     solve_global,
     stability_audit,
 )
-from softkm.audits import _double_center
+from softkm.core import double_center
 
 
 class TestIsSkmable:
@@ -131,7 +131,7 @@ class TestKernelEmbed:
         K = A.T @ A
         Y = kernel_embed(K)
         sol, _ = solve_global(Y, 3)
-        lam = np.linalg.eigvalsh(_double_center(K))[::-1]
+        lam = np.linalg.eigvalsh(double_center(K))[::-1]
         expected = float(np.clip(lam[2:], 0.0, None).sum())
         assert sol.objective == pytest.approx(expected, rel=1e-8, abs=1e-10)
 

@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from softkm import InvalidInput, NumericalFailure, ParseError, RunConfig, bench, load_csv, load_labels, run, save_matrix_csv
+from softkm import (
+    InvalidInput,
+    NumericalFailure,
+    ParseError,
+    RunConfig,
+    bench,
+    is_skmable,
+    is_ti_lsdable,
+    load_csv,
+    load_labels,
+    run,
+    save_matrix_csv,
+)
 from softkm.cli import main
 
 
@@ -182,17 +194,24 @@ class TestRun:
             RunConfig(solver="mvskm", k=2, input_path="a", output_dir="b")  # no lambda
         with pytest.raises(InvalidInput):
             RunConfig(solver="global", k=2, input_path="", output_dir="b")
+        bad = [dict(solver="am", k=2.9), dict(solver="am", k=True), dict(solver="am", k=2, seed=1.7),
+               dict(solver="am", k=2, seed=-1), dict(solver="am", k=2, max_iters="3"),
+               dict(solver="am", k=2, max_iters=0), dict(solver="am", k=2, lam="x"),
+               dict(solver="global", k=2, lam=-1.0), dict(solver="global", k=2, epsilon=0.0),
+               dict(solver="am", k=2, rel_obj_tol="1e-3"), dict(solver="am", k=2, rel_obj_tol=-1.0)]
+        for fields in bad:
+            with pytest.raises(InvalidInput):
+                RunConfig(input_path="a", output_dir="b", **fields)
 
 
 class TestBench:
     def test_rows_and_scores(self, tmp_path):
         inp = write(tmp_path / "in.csv", LABELED_2D)
-        _, truth = load_csv(inp)
         configs = [
             RunConfig(solver="global", k=2, input_path=inp, output_dir=str(tmp_path / "g")),
             RunConfig(solver="am", k=2, input_path=inp, output_dir=str(tmp_path / "a"), seed=0),
         ]
-        rows = bench(configs, truth)
+        rows = bench(configs)
         assert [r["solver"] for r in rows] == ["global", "am"]
         for r in rows:
             assert set(r) == {"solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity"}
@@ -203,16 +222,17 @@ class TestBench:
     def test_validation(self, tmp_path):
         inp = write(tmp_path / "in.csv", LABELED_2D)
         other = write(tmp_path / "other.csv", LABELED_2D)
+        plain = write(tmp_path / "plain.csv", "1,2\n3,4\n5,6\n")
         cfg = RunConfig(solver="global", k=2, input_path=inp, output_dir=str(tmp_path / "o"))
-        with pytest.raises(InvalidInput):
-            bench([], [0, 1])
-        with pytest.raises(InvalidInput):
-            bench([cfg], None)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="at least one"):
+            bench([])
+        with pytest.raises(InvalidInput, match="label column"):
+            bench([RunConfig(solver="global", k=2, input_path=plain,
+                             output_dir=str(tmp_path / "u"))])
+        with pytest.raises(InvalidInput, match="share one input"):
             bench([cfg, RunConfig(solver="global", k=2, input_path=other,
-                                  output_dir=str(tmp_path / "p"))], [0] * 6)
-        with pytest.raises(InvalidInput):
-            bench([cfg], [0, 1, 0])  # wrong label count
+                                  output_dir=str(tmp_path / "p"))])
+        assert not (tmp_path / "u").exists() and not (tmp_path / "o").exists()
 
 
 class TestCli:
@@ -339,10 +359,69 @@ class TestCli:
             ["am"],
             {"solver": "am"},
             [{"solver": "am", "k": 2, "seeds": 3}],
+            [{"solver": "am", "k": 2, "seeds": "12"}],
+            [{"solver": "am", "k": 2, "seeds": [1.7]}],
+            [{"solver": "am", "k": 2.9}],
+            [{"solver": "am", "k": 2, "seeds": []}, {"solver": "global", "k": 2}],
+            [{"solver": "am", "k": 2, "max_iter": 1}],
+            [{"solver": "am", "k": 2, "tol": "1e-3"}],
+            [{"solver": "am", "k": 2, "lambda": "x"}],
+            [{"solver": "am", "k": 2, "seed": 1, "seeds": [1, 2]}],
+            [{"solver": "am", "k": True}],
+            [{"solver": "global", "k": 2, "epsilon": 0}],
         ]
         for j, runs in enumerate(malformed):
             spec = write(tmp_path / f"malformed{j}.json", json.dumps(
                 {"input": inp, "out": str(tmp_path / "o"), "runs": runs}))
-            assert main(["bench", "--spec", spec]) == 2
+            assert main(["bench", "--spec", spec]) == 2, runs
             err = capsys.readouterr().err
             assert ("runs[0]: " if isinstance(runs, list) else "runs must be a list") in err
+            assert not (tmp_path / "o").exists(), runs
+
+    def test_bench_parses_its_input_once(self, tmp_path, monkeypatch):
+        import softkm.cli as cli
+        import softkm.io as sio
+
+        calls = []
+        for mod in (cli, sio):
+            def counted(path, _load=getattr(mod, "load_csv")):
+                calls.append(path)
+                return _load(path)
+            monkeypatch.setattr(mod, "load_csv", counted)
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"input": inp, "out": str(tmp_path / "o"),
+             "runs": [{"solver": "global", "k": 2}, {"solver": "am", "k": 2, "seeds": [0, 1]}]}))
+        assert main(["bench", "--spec", spec]) == 0
+        assert calls == [inp]
+
+    @pytest.mark.parametrize("command,extra", [("check-skmable", []),
+                                               ("check-tilsdable", []),
+                                               ("check-tilsdable", ["--kernel"])])
+    def test_check_runs_one_svd(self, tmp_path, capsys, monkeypatch, command, extra):
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 6))
+        data = A @ A.T if extra else A
+        inp = str(tmp_path / "in.csv")
+        save_matrix_csv(inp, data)
+        X, _ = load_csv(inp)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        for k in (2, 3, 4):
+            calls.clear()
+            assert main([command, "--input", inp, "--k", str(k), *extra]) == 0
+            assert len(calls) == 1
+            verdict = capsys.readouterr().out.splitlines()[0] == "true"
+            if command == "check-skmable":
+                expected = is_skmable(X, k)
+            else:
+                expected = is_ti_lsdable(X.values if extra else X.values.T @ X.values, k)
+            assert verdict == expected
+
+    def test_check_invalid_inputs(self, tmp_path, capsys):
+        data = write(tmp_path / "in.csv", "1,2\n3,4\n5,6\n")
+        asym = write(tmp_path / "asym.csv", "1,2\n3,4\n")
+        assert main(["check-skmable", "--input", data, "--k", "0"]) == 2
+        assert main(["check-tilsdable", "--input", data, "--k", "0"]) == 2
+        assert main(["check-tilsdable", "--input", asym, "--k", "1", "--kernel"]) == 2
+        assert capsys.readouterr().out == ""
