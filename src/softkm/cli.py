@@ -117,9 +117,14 @@ _SPEC_KEYS = {"solver": "solver", "k": "k", "lambda": "lam", "seed": "seed",
 
 
 def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str]:
+    if not isinstance(spec, dict):
+        raise InvalidInput(f"bench spec must be a JSON object, got {spec!r}")
     for key in ("input", "out", "runs"):
         if key not in spec:
             raise InvalidInput(f"bench spec is missing {key!r}")
+    for key in ("input", "out"):
+        if not isinstance(spec[key], str) or not spec[key]:
+            raise InvalidInput(f"bench spec {key} must be a nonempty string, got {spec[key]!r}")
     input_path, out_dir, runs = spec["input"], spec["out"], spec["runs"]
     if not isinstance(runs, list):
         raise InvalidInput(f"bench spec runs must be a list of objects, got {runs!r}")

@@ -139,20 +139,36 @@ def center(X) -> DataMatrix:
     DataMatrix
         Immutable bundle of (values, mean, centered).
     """
-    A = as_matrix(X, "data matrix").copy()
+    A = _finite_matrix(X, "data matrix").copy()
     if A.size == 0:
         raise InvalidInput("data matrix is empty")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("data matrix contains non-finite entries")
     mean = A.mean(axis=1)
     return DataMatrix(values=A, mean=mean, centered=A - mean[:, None])
 
 
 def double_center(K) -> np.ndarray:
     """H K H for the centering matrix H = I - ones ones^T / n, without
-    materializing H: every row and column of the result sums to zero."""
+    materializing H: every row and column of the result sums to zero.
+
+    The row and column means are summed in different orders, so for a
+    symmetric K the centered matrix M is symmetric only up to round-off.
+    When K is exactly symmetric the result is the exactly symmetric
+    0.5 (M + M^T), which lets `numerical_rank` take its symmetric route.
+    """
     K = np.asarray(K, dtype=float)
-    return K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) + K.mean()
+    M = K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) + K.mean()
+    return 0.5 * (M + M.T) if _exactly_symmetric(K) else M
+
+
+def _exactly_symmetric(A: np.ndarray) -> bool:
+    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(np.array_equal(A, A.T))
+
+
+def _finite_matrix(A, name: str = "matrix") -> np.ndarray:
+    A = as_matrix(A, name)
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return A
 
 
 def simplex_complement_basis(k: int) -> np.ndarray:
@@ -175,6 +191,16 @@ def simplex_complement_basis(k: int) -> np.ndarray:
 def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leading-m singular triplets of A with a deterministic sign convention.
 
+    Computed on the short side: Q holds the top-m eigenvectors (`eigh`) of
+    the Gram matrix A A^T when p <= q, else of A^T A, and one Rayleigh-Ritz
+    step takes the thin SVD of the m x long-side matrix Q^T A (or A Q).
+    That step reads sigma from A itself rather than from its square, and
+    gives U diag(sigma) V^T = Q Q^T A, so U^T A = diag(sigma) V^T holds to
+    round-off and ||A - U diag(sigma) V^T||_F^2 misses the tail energy
+    sum_{i>m} sigma_i^2 by at most about m eps ||A||_F^2 whatever the
+    spectral gaps. Singular values below about sqrt(eps) sigma_1 are not
+    resolved; use `numerical_rank` for rank decisions.
+
     Each column of U is flipped, together with its partner in V, so that its
     largest-magnitude entry is positive. Ties resolve to the first index.
 
@@ -183,14 +209,16 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (U, sigma, V) : U is p x m, sigma descending of length m, V is q x m,
         with A ~= U @ diag(sigma) @ V.T in the rank-m sense.
     """
-    A = as_matrix(A, "matrix")
+    A = _finite_matrix(A)
     p, q = A.shape
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= min(p, q):
         raise InvalidInput(f"truncation m={m} out of range [1, {min(p, q)}]")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    U = U[:, :m].copy()
-    s = s[:m].copy()
-    V = Vt[:m].T.copy()
+    short = A if p <= q else A.T
+    Q = np.linalg.eigh(short @ short.T)[1][:, -m:]
+    Ub, s, Vt = np.linalg.svd(Q.T @ short, full_matrices=False)
+    U, V = Q @ Ub, Vt.T.copy()
+    if p > q:
+        U, V = V, U
     for j in range(m):
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0:
@@ -204,11 +232,21 @@ def numerical_rank(A, tau: float = 1e-10) -> int:
 
     The zero matrix has rank 0; the threshold is relative, so the result is
     invariant under scaling and under orthogonal transformations.
+
+    An exactly symmetric A takes sigma = |eigvalsh(A)|; any other A takes
+    the values-only SVD of its tall orientation (A, or A^T when p < q),
+    which LAPACK reduces by QR first. The rank never goes through a Gram
+    matrix: squaring maps the default tau = 1e-10 to 1e-20 on its
+    eigenvalues, below the round-off of an eigensolver.
     """
     if not tau > 0:
         raise InvalidInput("tau must be positive")
-    A = as_matrix(A, "matrix")
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
+    A = _finite_matrix(A)
+    if _exactly_symmetric(A):
+        s = np.abs(np.linalg.eigvalsh(A))
+    else:
+        s = np.linalg.svd(A if A.shape[0] >= A.shape[1] else A.T, compute_uv=False)
+    smax = float(s.max()) if s.size else 0.0
+    if smax <= 0.0:
         return 0
-    return int(np.count_nonzero(s > tau * s[0]))
+    return int(np.count_nonzero(s > tau * smax))

@@ -5,6 +5,29 @@ from hypothesis import strategies as st
 
 from conftest import random_instance, random_orthogonal
 from softkm import InvalidInput, center, numerical_rank, simplex_complement_basis, truncated_svd
+from softkm.core import double_center
+
+
+def check_truncated_svd(A, m, sigma_rtol=1e-12):
+    """truncated_svd(A, m) against np.linalg.svd: sigma, orthonormal factors,
+    the tail-energy identity, U^T A = diag(sigma) V^T and the sign rule."""
+    U, s, V = truncated_svd(A, m)
+    p, q = A.shape
+    full = np.linalg.svd(A, compute_uv=False)
+    fro2 = float(np.sum(A * A))
+    scale = max(float(full[0]), np.finfo(float).tiny)
+    assert U.shape == (p, m) and s.shape == (m,) and V.shape == (q, m)
+    if sigma_rtol is not None:
+        np.testing.assert_allclose(s, full[:m], rtol=sigma_rtol, atol=1e-14 * scale)
+    assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+    np.testing.assert_allclose(U.T @ U, np.eye(m), atol=1e-10)
+    np.testing.assert_allclose(V.T @ V, np.eye(m), atol=1e-10)
+    resid = float(np.sum((A - U @ (s[:, None] * V.T)) ** 2))
+    assert abs(resid - float(np.sum(full[m:] ** 2))) <= 1e-8 * fro2
+    np.testing.assert_allclose(U.T @ A, s[:, None] * V.T, rtol=0, atol=1e-12 * scale)
+    for j in range(m):
+        assert U[np.argmax(np.abs(U[:, j])), j] > 0
+    return U, s, V
 
 
 class TestCenter:
@@ -130,6 +153,40 @@ class TestTruncatedSvd:
         with pytest.raises(InvalidInput):
             truncated_svd(np.eye(5), m)
 
+    @pytest.mark.parametrize("shape,m", [((40, 7), 3), ((7, 40), 3), ((12, 12), 5),
+                                         ((3, 200), 3), ((200, 3), 1)])
+    def test_matches_full_svd(self, shape, m):
+        check_truncated_svd(random_instance(23, *shape), m)
+
+    @pytest.mark.parametrize("shape", [(8, 15), (15, 8)])
+    def test_rank_deficient_beyond_rank(self, shape):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((shape[0], 2)) @ rng.standard_normal((2, shape[1]))
+        U, s, V = check_truncated_svd(A, 5, sigma_rtol=None)
+        full = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_allclose(s[:2], full[:2], rtol=1e-12)
+        # below sqrt(eps) sigma_1 the short-side Gram matrix resolves nothing
+        assert np.all(s[2:] <= 1e-7 * s[0])
+
+    def test_zero_matrix(self):
+        U, s, V = check_truncated_svd(np.zeros((4, 6)), 3)
+        np.testing.assert_array_equal(s, 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_near_tied_singular_values(self, m):
+        # sigma_2 and sigma_3 differ by 1e-12, so their singular vectors are
+        # ill-determined; m = 2 splits the pair, and sigma must still match
+        sigma = np.array([3.0, 2.0 + 1e-12, 2.0, 1.0, 0.5])
+        A = random_orthogonal(37, 9)[:, :5] @ (sigma[:, None] * random_orthogonal(41, 5).T)
+        check_truncated_svd(A, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        A = random_instance(43, 4, 6)
+        A[1, 2] = bad
+        with pytest.raises(InvalidInput):
+            truncated_svd(A, 2)
+
 
 class TestNumericalRank:
     def test_zero_matrix(self):
@@ -163,9 +220,60 @@ class TestNumericalRank:
         with pytest.raises(InvalidInput):
             numerical_rank(np.eye(2), tau=0.0)
 
+    @pytest.mark.parametrize("shape,r", [((6, 40), 3), ((40, 6), 3), ((9, 9), 4), ((5, 7), 5)])
+    def test_transpose_invariant(self, shape, r):
+        rng = np.random.default_rng(47)
+        A = rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
+        assert numerical_rank(A) == numerical_rank(A.T) == r
+
+    @pytest.mark.parametrize("seed,n,r", [(0, 30, 1), (1, 50, 3), (2, 80, 6), (3, 40, 12)])
+    def test_symmetric_route_agrees_with_svd(self, seed, n, r, monkeypatch):
+        rng = np.random.default_rng(seed)
+        Y = rng.standard_normal((r, n)) + 1.0
+        M = double_center(Y.T @ Y)  # (Y H)^T (Y H), rank r
+        assert np.array_equal(M, M.T)
+        plain = np.linalg.svd(M, compute_uv=False)
+        expected = int(np.count_nonzero(plain > 1e-10 * plain[0]))
+        assert expected == r
+        eigvalsh, routes = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **kw: routes.append(1) or eigvalsh(*a, **kw))
+        assert numerical_rank(M) == expected
+        assert routes == [1]
+        # a row permutation keeps the singular values and breaks symmetry
+        assert numerical_rank(M[::-1]) == expected
+        assert routes == [1]
+
+    def test_symmetric_indefinite(self):
+        Q = random_orthogonal(53, 6)
+        S = Q[:, :3] @ np.diag([3.0, -2.0, 1e-3]) @ Q[:, :3].T
+        S = 0.5 * (S + S.T)
+        assert numerical_rank(S) == numerical_rank(S[::-1]) == 3
+        assert numerical_rank(S, tau=1e-2) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # eigvalsh on this matrix returns finite values, a silent wrong rank
+        A = np.diag([bad, 0.0, 1.0])
+        with pytest.raises(InvalidInput):
+            numerical_rank(A)
+        with pytest.raises(InvalidInput):
+            numerical_rank(random_instance(59, 3, 5) * np.array([1.0, bad, 1.0, 1.0, 1.0]))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 10_000))
 def test_center_rows_sum_to_zero_property(d, seed):
     X = center(random_instance(seed, d, 17, scale=3.0))
     assert np.abs(X.centered.sum(axis=1)).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30), st.integers(0, 10_000))
+def test_truncated_svd_property(p, q, m, seed):
+    m = min(m, p, q)
+    A = random_instance(seed, p, q, scale=10.0 ** (seed % 7 - 3))
+    U, s, V = check_truncated_svd(A, m, sigma_rtol=None)
+    full = np.linalg.svd(A, compute_uv=False)
+    # whatever the gaps, each sigma_i^2 is off by round-off of ||A||_F^2 only
+    assert np.all(np.abs(s ** 2 - full[:m] ** 2) <= 1e-12 * float(np.sum(A * A)))

@@ -341,12 +341,27 @@ class TestCli:
         assert (out / "bench.txt").exists()
         assert "solver" in capsys.readouterr().out
 
-    def test_bench_spec_errors(self, tmp_path, capsys):
+    def test_bench_spec_errors(self, tmp_path, capsys, monkeypatch):
         inp = write(tmp_path / "in.csv", LABELED_2D)
         bad_json = write(tmp_path / "bad.json", "{nope")
         assert main(["bench", "--spec", bad_json]) == 2
         missing = write(tmp_path / "missing.json", json.dumps({"input": inp, "runs": []}))
         assert main(["bench", "--spec", missing]) == 2
+        # the spec must be an object whose input and out are nonempty strings,
+        # checked before any solve or write
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        runs = [{"solver": "global", "k": 2}]
+        for j, spec in enumerate([{"input": inp, "out": 5, "runs": runs},
+                                  {"input": inp, "out": "", "runs": runs},
+                                  {"input": 5, "out": "o", "runs": runs},
+                                  [inp, "o", runs],
+                                  5]):
+            path = tmp_path / f"paths{j}.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            before.append(path)
+            assert main(["bench", "--spec", str(path)]) == 2, spec
+            assert sorted(tmp_path.iterdir()) == sorted(before), spec
         unlabeled = write(tmp_path / "plain.csv", "1,2\n3,4\n5,6\n")
         spec = write(tmp_path / "spec.json", json.dumps(
             {"input": unlabeled, "out": str(tmp_path / "o"),
@@ -405,8 +420,14 @@ class TestCli:
         inp = str(tmp_path / "in.csv")
         save_matrix_csv(inp, data)
         X, _ = load_csv(inp)
-        svd, calls = np.linalg.svd, []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        # one decomposition per command: a values-only SVD, or eigvalsh on a
+        # symmetric (kernel-side) matrix
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            def counted(*a, _f=getattr(np.linalg, name), _name=name, **kw):
+                calls.append(_name)
+                return _f(*a, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
         for k in (2, 3, 4):
             calls.clear()
             assert main([command, "--input", inp, "--k", str(k), *extra]) == 0
