@@ -53,7 +53,7 @@ from .mvskm import (
     solve_mvskm,
     volume_regularizer,
 )
-from .simplex import SimplexSolveOptions, project_simplex, solve_membership, solve_simplex_ls
+from .simplex import project_simplex, solve_membership
 from .synth import in_convex_hull, two_gaussians
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "RotationMatrix",
     "RunConfig",
     "RunResult",
-    "SimplexSolveOptions",
     "SoftKMError",
     "Solution",
     "StabilityReport",
@@ -106,7 +105,6 @@ __all__ = [
     "solve_global",
     "solve_membership",
     "solve_mvskm",
-    "solve_simplex_ls",
     "stability_audit",
     "truncated_svd",
     "two_gaussians",

@@ -10,7 +10,9 @@ only; the closed-form solver gives the global reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import os
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,38 +21,82 @@ from .errors import InvalidInput, NumericalFailure
 from .global_solver import objective
 from .simplex import solve_membership
 
-__all__ = ["AmOptions", "solve_am"]
+__all__ = ["LoopOptions", "AmOptions", "solve_am"]
+
+_SOLVERS = ("global", "am", "mvskm")
 
 
-@dataclass(frozen=True)
-class AmOptions:
-    """Loop controls for the alternating solver.
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-    init is either the string "random_points" (k distinct data columns,
-    drawn with the given seed) or an explicit d x k prototype array. The
-    ridge is scaled by trace(G^T G)/k before being added to the normal
-    equations.
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path")
+
+# field -> (test its value must pass, what the error says it must be), for
+# every field of AmOptions, MvskmOptions and io.RunConfig
+_FIELD_CHECKS = {
+    "solver": (lambda v: v in _SOLVERS, f"one of {_SOLVERS}"),
+    "input_path": _PATH,
+    "output_dir": _PATH,
+    "k": _POSITIVE_INT,
+    "max_iters": _POSITIVE_INT,
+    "max_outer_iters": _POSITIVE_INT,
+    "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
+    "epsilon": (lambda v: _is_number(v) and v > 0, "a strictly positive number"),
+    "rel_obj_tol": _NONNEGATIVE,
+    "ridge": _NONNEGATIVE,
+    "init": (lambda v: not isinstance(v, str) or v == "random_points",
+             "'random_points' or a d x k array"),
+}
+
+
+def _check_fields(record) -> None:
+    """Raise InvalidInput naming the first field of the dataclass record
+    whose value fails its _FIELD_CHECKS entry."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        ok, what = _FIELD_CHECKS[f.name]
+        if not ok(value):
+            raise InvalidInput(f"{f.name} must be {what}, got {value!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LoopOptions:
+    """Controls of the alternating loop that solve_am and solve_mvskm share.
+
+    The loop stops after max_outer_iters F-updates or once the objective
+    changes by at most rel_obj_tol * max(|L_prev|, ||Xc||_F^2). init is
+    either the string "random_points" (k distinct data columns, drawn with
+    the given seed) or an explicit d x k prototype array in original
+    coordinates. Construction checks every field.
     """
 
-    max_outer_iters: int = 200
+    max_outer_iters: int = 300
     rel_obj_tol: float = 1e-8
-    ridge: float = 1e-10
     init: object = "random_points"
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise InvalidInput("max_outer_iters must be at least 1")
-        if not self.rel_obj_tol >= 0:
-            raise InvalidInput("rel_obj_tol must be nonnegative")
-        if not self.ridge >= 0:
-            raise InvalidInput("ridge must be nonnegative")
+        _check_fields(self)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AmOptions(LoopOptions):
+    """Loop controls plus the ridge of the AM F-update, which is scaled by
+    trace(G^T G)/k before being added to the normal equations."""
+
+    ridge: float = 1e-10
 
 
 def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
-    if isinstance(init, str):
-        if init != "random_points":
-            raise InvalidInput(f"unknown init {init!r}")
+    if isinstance(init, str):  # "random_points", the one name the options accept
         rng = np.random.default_rng(seed)
         idx = rng.choice(X.n, size=k, replace=False)
         return X.values[:, np.sort(idx)].copy()
@@ -65,8 +111,9 @@ def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
 def _alternate(A, F, gram_term, loss, opts, energy):
     """Alternate F-updates and membership solves on the d x n data A from
     the d x k start F. gram_term(F, GtG) is the k x k term added to G^T G,
-    loss(F, G) the objective; opts gives max_outer_iters and rel_obj_tol,
-    and energy = ||Xc||_F^2 floors the stop rule so that it is scale-free.
+    loss(F, G) the objective; opts, a LoopOptions, gives max_outer_iters and
+    rel_obj_tol, and energy = ||Xc||_F^2 floors the stop rule so that it is
+    scale-free.
     Returns (F, G, trace), trace[0] taken after the initial membership solve.
     """
     G = solve_membership(F, A)

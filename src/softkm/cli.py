@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .audits import KernelMatrix
@@ -89,13 +90,18 @@ def _cmd_check(args) -> int:
     X, _ = load_csv(args.input)
     if args.k < 1:
         raise InvalidInput(f"k must be a positive integer, got {args.k}")
+    tau = args.tau
     if args.command == "check-skmable":
         A = X.centered
+    elif args.kernel:
+        A = double_center(KernelMatrix(X.values).K)
     else:
-        K = X.values if getattr(args, "kernel", False) else X.values.T @ X.values
-        A = double_center(KernelMatrix(K).K)
+        # the linear kernel's double-centered form H X^T X H has the singular
+        # values sigma(Xc)^2, so its relative threshold tau is sqrt(tau) on Xc;
+        # a tau <= 0 maps to 0, which numerical_rank rejects
+        A, tau = X.centered, math.sqrt(max(tau, 0.0))
     # the audit's own test (is_skmable, is_ti_lsdable), from the one rank computed here
-    rank = numerical_rank(A, args.tau)
+    rank = numerical_rank(A, tau)
     print("true" if rank <= args.k - 1 else "false")
     print(f"numerical_rank={rank}")
     return EXIT_OK

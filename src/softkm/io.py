@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .am import AmOptions, solve_am
+from .am import AmOptions, LoopOptions, _check_fields, solve_am
 from .core import DataMatrix, center
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
@@ -38,38 +37,13 @@ __all__ = [
     "write_bench_outputs",
 ]
 
-_SOLVERS = ("global", "am", "mvskm")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-# RunConfig field -> (test its value must pass, what the error says it must be)
-_FIELD_CHECKS = {
-    "solver": (lambda v: v in _SOLVERS, f"one of {_SOLVERS}"),
-    "input_path": (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path"),
-    "output_dir": (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path"),
-    "k": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
-    "max_iters": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
-    "epsilon": (lambda v: _is_number(v) and v > 0, "a strictly positive number"),
-    "rel_obj_tol": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
     input lives and the artifacts go. Construction checks every field,
-    whatever the solver: k, seed and max_iters are integers (not bool), lam,
-    epsilon and rel_obj_tol numbers, each in its range; mvskm needs lam.
-    epsilon is stored as a float; the iterative defaults are MvskmOptions'.
+    whatever the solver, against the table that checks AmOptions and
+    MvskmOptions; mvskm needs lam. epsilon is stored as a float; the
+    iterative defaults are the options'.
     """
 
     solver: str
@@ -78,14 +52,12 @@ class RunConfig:
     output_dir: str
     lam: float | None = None
     epsilon: float = MvskmOptions.epsilon
-    seed: int = 0
-    rel_obj_tol: float = MvskmOptions.rel_obj_tol
-    max_iters: int = MvskmOptions.max_outer_iters
+    seed: int = LoopOptions.seed
+    rel_obj_tol: float = LoopOptions.rel_obj_tol
+    max_iters: int = LoopOptions.max_outer_iters
 
     def __post_init__(self):
-        for name, (ok, what) in _FIELD_CHECKS.items():
-            if not ok(getattr(self, name)):
-                raise InvalidInput(f"{name} must be {what}, got {getattr(self, name)!r}")
+        _check_fields(self)
         if self.solver == "mvskm" and self.lam is None:
             raise InvalidInput("mvskm requires a nonnegative lambda")
         object.__setattr__(self, "epsilon", float(self.epsilon))

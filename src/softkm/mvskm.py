@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .am import _alternate, _initial_prototypes
+from .am import LoopOptions, _alternate, _initial_prototypes
 from .core import DataMatrix, Solution, as_matrix, center
 from .errors import DegenerateSimplex, InvalidInput, PreconditionViolated
 from .global_solver import objective
@@ -42,30 +42,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MvskmOptions:
-    """Settings for the minimal-volume solver.
-
-    lam weighs the volume penalty (the objective carries lam/2), epsilon
-    smooths the log and must be strictly positive, init mirrors AmOptions:
-    "random_points" or an explicit d x k array in original coordinates.
-    """
+class MvskmOptions(LoopOptions):
+    """Loop controls plus the volume penalty: lam weighs it (the objective
+    carries lam/2) and is required, epsilon smooths the log and must be
+    strictly positive."""
 
     lam: float
     epsilon: float = 1e-8
-    max_outer_iters: int = 300
-    rel_obj_tol: float = 1e-8
-    init: object = "random_points"
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise InvalidInput("lam must be nonnegative")
-        if not self.epsilon > 0:
-            raise InvalidInput("epsilon must be strictly positive")
-        if self.max_outer_iters < 1:
-            raise InvalidInput("max_outer_iters must be at least 1")
-        if not self.rel_obj_tol >= 0:
-            raise InvalidInput("rel_obj_tol must be nonnegative")
+        super().__post_init__()
+        if self.lam is None:
+            raise InvalidInput("mvskm requires a nonnegative lambda")
 
 
 @dataclass(frozen=True)

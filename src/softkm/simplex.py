@@ -11,40 +11,17 @@ alternating solvers rely on for their descent guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DataMatrix, as_matrix
 from .errors import InvalidInput, NumericalFailure
 
-__all__ = [
-    "SimplexSolveOptions",
-    "project_simplex",
-    "solve_simplex_ls",
-    "solve_membership",
-]
+__all__ = ["project_simplex", "solve_membership"]
 
-
-@dataclass(frozen=True)
-class SimplexSolveOptions:
-    """Settings for the projected gradient solver.
-
-    max_iters bounds the iteration count, kkt_tol is the stopping threshold
-    on the projected-gradient residual ||g - P(g - grad/L)||, and
-    use_acceleration toggles the Nesterov momentum (restarted on any
-    objective increase).
-    """
-
-    max_iters: int = 500
-    kkt_tol: float = 1e-9
-    use_acceleration: bool = True
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be at least 1")
-        if not self.kkt_tol > 0:
-            raise InvalidInput("kkt_tol must be positive")
+# Iteration cap of one membership solve, and the threshold on every row's
+# projected-gradient residual ||g - P(g - grad/L)|| that ends it earlier.
+MAX_ITERS = 500
+KKT_TOL = 1e-9
 
 
 def project_simplex(v) -> np.ndarray:
@@ -78,13 +55,13 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return G
 
 
-def _pgd_rows(F, P, opts, warm=None) -> np.ndarray:
+def _pgd_rows(F, P, warm=None) -> np.ndarray:
     """Run the accelerated projected gradient on every row of P at once.
 
     F is d x k, P is m x d with one sample per row, warm an optional m x k
     feasible start (defaults to the uniform membership). Returns the m x k
     solution block; all rows share the step 1/sigma_max(F)^2 and iterate
-    until every row passes the KKT check or max_iters is hit.
+    until every row passes the KKT check or MAX_ITERS is hit.
     """
     d, k = F.shape
     m = P.shape[0]
@@ -99,30 +76,27 @@ def _pgd_rows(F, P, opts, warm=None) -> np.ndarray:
         if G.shape != (m, k):
             raise InvalidInput(f"warm start must be {m}x{k}")
     Ft = F.T
-    tol2 = opts.kkt_tol * opts.kkt_tol
+    tol2 = KKT_TOL * KKT_TOL
     Y = G.copy()
     t = np.ones(m)
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         RG = G @ Ft - P  # per-row residuals at G
         plain = _project_rows(G - (RG @ F) / L)
         diff = G - plain
         if float(np.einsum("ij,ij->i", diff, diff).max()) <= tol2:
             break
-        if opts.use_acceleration:
-            RY = Y @ Ft - P
-            C = _project_rows(Y - (RY @ F) / L)
-            RC = C @ Ft - P
-            worse = np.einsum("ij,ij->i", RC, RC) > np.einsum("ij,ij->i", RG, RG)
-            if np.any(worse):
-                # restart those rows with the guaranteed-descent plain step
-                C[worse] = plain[worse]
-                t[worse] = 1.0
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            Y = C + ((t - 1.0) / t_next)[:, None] * (C - G)
-            t = t_next
-            G = C
-        else:
-            G = plain
+        RY = Y @ Ft - P
+        C = _project_rows(Y - (RY @ F) / L)
+        RC = C @ Ft - P
+        worse = np.einsum("ij,ij->i", RC, RC) > np.einsum("ij,ij->i", RG, RG)
+        if np.any(worse):
+            # restart those rows with the guaranteed-descent plain step
+            C[worse] = plain[worse]
+            t[worse] = 1.0
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        Y = C + ((t - 1.0) / t_next)[:, None] * (C - G)
+        t = t_next
+        G = C
     finite = np.isfinite(G).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -130,51 +104,19 @@ def _pgd_rows(F, P, opts, warm=None) -> np.ndarray:
     return G
 
 
-def solve_simplex_ls(F, x, opts: SimplexSolveOptions | None = None, g0=None) -> np.ndarray:
-    """Minimize ||x - F g||_2^2 over the probability simplex.
-
-    Parameters
-    ----------
-    F : array_like, d x k
-        Prototype matrix; must be nonzero.
-    x : array_like, length d
-        Target sample.
-    opts : SimplexSolveOptions, optional
-    g0 : array_like, optional
-        Feasible warm start; defaults to the uniform vector. Iterates never
-        increase the objective, so the result is at least as good as g0.
-
-    Returns
-    -------
-    ndarray of length k on the simplex (exactly feasible: the final
-    operation is a projection).
-    """
-    opts = opts or SimplexSolveOptions()
-    F = as_matrix(F, "prototypes")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != F.shape[0]:
-        raise InvalidInput(f"x must be a vector of length {F.shape[0]}")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(x))):
-        raise InvalidInput("non-finite entries in F or x")
-    warm = None
-    if g0 is not None:
-        warm = np.asarray(g0, dtype=float).reshape(1, -1)
-    return _pgd_rows(F, x[None, :], opts, warm)[0]
-
-
-def solve_membership(F, X, opts: SimplexSolveOptions | None = None, warm=None) -> np.ndarray:
+def solve_membership(F, X, warm=None) -> np.ndarray:
     """Solve the simplex least-squares problem for every sample of X.
 
     Row i of the returned n x k matrix solves min ||x_i - F g||_2^2 on the
-    simplex; the rows are independent, so this equals per-row calls to
-    `solve_simplex_ls` and is deterministic regardless of batching. `warm`
-    optionally supplies a feasible n x k starting block.
+    simplex; the rows are independent, so the result does not depend on
+    batching. `warm` optionally supplies a feasible n x k starting block
+    (uniform rows otherwise); no row ends worse than its start, and every
+    row is exactly feasible, since the last operation is a projection.
     """
-    opts = opts or SimplexSolveOptions()
     F = as_matrix(F, "prototypes")
     A = X.values if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
     if A.shape[0] != F.shape[0]:
         raise InvalidInput("X and F must agree on the feature dimension")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(A))):
         raise InvalidInput("non-finite entries in F or X")
-    return _pgd_rows(F, A.T, opts, warm)
+    return _pgd_rows(F, A.T, warm)

@@ -17,7 +17,6 @@ from softkm import (
     AmOptions,
     MvskmOptions,
     RunConfig,
-    SimplexSolveOptions,
     accuracy,
     center,
     is_skmable,
@@ -30,8 +29,8 @@ from softkm import (
     run,
     solve_am,
     solve_global,
+    solve_membership,
     solve_mvskm,
-    solve_simplex_ls,
     stability_audit,
 )
 from softkm.core import double_center
@@ -243,13 +242,12 @@ def test_criterion_09_simplex_solver_correctness():
         g = grid[int(np.argmin(d2))]
         worst_proj = max(worst_proj, float(np.linalg.norm(p - g)))
     worst_kkt = 0.0
-    opts = SimplexSolveOptions(max_iters=20000, kkt_tol=1e-9)
     for i in range(100):
         rng_i = np.random.default_rng(100 + i)
         d, k = int(rng_i.integers(2, 7)), int(rng_i.integers(2, 7))
         F = rng_i.standard_normal((d, k))
         x = rng_i.standard_normal(d)
-        g = solve_simplex_ls(F, x, opts)
+        g = solve_membership(F, x[:, None])[0]
         L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
         step = g - F.T @ (F @ g - x) / L
         worst_kkt = max(worst_kkt, float(np.linalg.norm(g - project_simplex(step))))

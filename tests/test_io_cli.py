@@ -15,6 +15,7 @@ from softkm import (
     load_labels,
     run,
     save_matrix_csv,
+    simplex_complement_basis,
 )
 from softkm.cli import main
 
@@ -297,6 +298,17 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == "true\nnumerical_rank=1\n"
 
+    def test_check_tilsdable_threshold_is_the_kernels(self, tmp_path, capsys):
+        # centered data with sigma = (1, 1e-7): its linear kernel has the
+        # eigenvalues (1, 1e-14), which the default tau = 1e-10 counts once
+        V = simplex_complement_basis(6)[:, :2]
+        U = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 2)))[0]
+        X = U @ np.diag([1.0, 1e-7]) @ V.T
+        rows = "\n".join(",".join(repr(float(v)) for v in col) for col in X.T)
+        inp = write(tmp_path / "in.csv", rows + "\n")
+        assert main(["check-tilsdable", "--input", inp, "--k", "2"]) == 0
+        assert capsys.readouterr().out == "true\nnumerical_rank=1\n"
+
     def test_check_tilsdable_kernel_flag(self, tmp_path, capsys):
         n = 5
         rows = "\n".join(",".join("1.0" for _ in range(n)) for _ in range(n))
@@ -445,4 +457,6 @@ class TestCli:
         assert main(["check-skmable", "--input", data, "--k", "0"]) == 2
         assert main(["check-tilsdable", "--input", data, "--k", "0"]) == 2
         assert main(["check-tilsdable", "--input", asym, "--k", "1", "--kernel"]) == 2
+        for tau in ("0", "-1"):
+            assert main(["check-tilsdable", "--input", data, "--k", "1", "--tau", tau]) == 2
         assert capsys.readouterr().out == ""

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from softkm import (
     MvskmOptions,
     MvskmState,
     PreconditionViolated,
+    RunConfig,
     center,
     log_simplex_volume,
     mvskm_objective,
@@ -251,14 +253,32 @@ class TestSolveMvskm:
         assert st1.objective_trace == st2.objective_trace
 
     def test_option_validation(self):
-        with pytest.raises(InvalidInput):
-            MvskmOptions(lam=-0.1)
-        with pytest.raises(InvalidInput):
-            MvskmOptions(lam=1.0, epsilon=0.0)
-        with pytest.raises(InvalidInput):
-            MvskmOptions(lam=1.0, max_outer_iters=0)
-        with pytest.raises(InvalidInput):
-            MvskmOptions(lam=1.0, rel_obj_tol=-1e-3)
+        # the records share their loop defaults, and every record that carries
+        # a field rejects its bad values when built; RunConfig calls
+        # max_outer_iters max_iters
+        def run_config(**fields):
+            if "max_outer_iters" in fields:
+                fields["max_iters"] = fields.pop("max_outer_iters")
+            return RunConfig(**{"solver": "mvskm", "k": 2, "input_path": "a",
+                                "output_dir": "b", "lam": 1.0, **fields})
+
+        mvskm = partial(MvskmOptions, lam=1.0)
+        loop = (AmOptions, mvskm, run_config)
+        for name in ("max_outer_iters", "rel_obj_tol", "init", "seed"):
+            assert getattr(AmOptions(), name) == getattr(mvskm(), name)
+        assert AmOptions().max_outer_iters == run_config().max_iters == 300
+        cases = [("max_outer_iters", 0, loop), ("max_outer_iters", 2.5, loop),
+                 ("max_outer_iters", True, loop), ("rel_obj_tol", -1e-3, loop),
+                 ("rel_obj_tol", None, loop), ("seed", -1, loop), ("seed", 1.5, loop),
+                 ("init", "kmeans++", (AmOptions, mvskm)),
+                 ("lam", -0.1, (mvskm, run_config)), ("lam", "1", (mvskm, run_config)),
+                 ("lam", True, (mvskm, run_config)), ("lam", None, (mvskm, run_config)),
+                 ("epsilon", 0.0, (mvskm, run_config)), ("ridge", -1.0, (AmOptions,)),
+                 ("ridge", "0", (AmOptions,))]
+        for name, value, records in cases:
+            for make in records:
+                with pytest.raises(InvalidInput):
+                    make(**{name: value})
 
     def test_requires_options_instance(self):
         X = random_instance(49, 2, 10)

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softkm import (
-    InvalidInput,
-    SimplexSolveOptions,
-    center,
-    project_simplex,
-    solve_membership,
-    solve_simplex_ls,
-)
+from softkm import InvalidInput, center, project_simplex, solve_membership
+from softkm import simplex as simplex_module
 
 
 def simplex_grid(step=1e-3):
@@ -36,6 +30,12 @@ def grid_project(v):
 def grid_solve_ls(F, x, step=1e-3):
     R = GRID3 @ F.T - x[None, :]
     return GRID3[np.argmin(np.einsum("ij,ij->i", R, R))]
+
+
+def solve_one(F, x, g0=None):
+    """The membership of one sample x, through the one-column batch."""
+    warm = None if g0 is None else np.reshape(g0, (1, -1))
+    return solve_membership(F, np.reshape(x, (-1, 1)), warm=warm)[0]
 
 
 def closed_form_interior(F, x):
@@ -125,11 +125,11 @@ def test_projection_idempotent_property(v):
 class TestSolveSimplexLs:
     def test_identity_prototypes_interior(self):
         x = np.array([0.2, 0.3, 0.5])
-        g = solve_simplex_ls(np.eye(3), x)
+        g = solve_one(np.eye(3), x)
         np.testing.assert_allclose(g, x, atol=1e-8)
 
     def test_one_dim_vertex(self):
-        g = solve_simplex_ls(np.array([[1.0, -1.0]]), np.array([-1.0]))
+        g = solve_one(np.array([[1.0, -1.0]]), np.array([-1.0]))
         np.testing.assert_allclose(g, [0.0, 1.0], atol=1e-6)
 
     def test_matches_grid_oracle(self):
@@ -137,7 +137,7 @@ class TestSolveSimplexLs:
         for _ in range(20):
             F = rng.normal(size=(2, 3))
             x = rng.normal(size=2)
-            g = solve_simplex_ls(F, x)
+            g = solve_one(F, x)
             g_grid = grid_solve_ls(F, x)
             assert (np.linalg.norm(x - F @ g)
                     <= np.linalg.norm(x - F @ g_grid) + 1e-6)
@@ -164,18 +164,17 @@ class TestSolveSimplexLs:
             if g_star.min() < 1e-3:
                 continue  # oracle only valid strictly inside
             hits += 1
-            g = solve_simplex_ls(F, x, SimplexSolveOptions(max_iters=5000))
+            g = solve_one(F, x)
             np.testing.assert_allclose(g, g_star, atol=1e-7)
         assert hits >= 10
 
     def test_kkt_residual_at_return(self):
         rng = np.random.default_rng(40)
-        opts = SimplexSolveOptions(max_iters=20000, kkt_tol=1e-9)
         for _ in range(30):
             d, k = int(rng.integers(1, 7)), int(rng.integers(2, 7))
             F = rng.normal(size=(d, k))
             x = rng.normal(size=d) * 2.0
-            g = solve_simplex_ls(F, x, opts)
+            g = solve_one(F, x)
             L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
             resid = np.linalg.norm(g - project_simplex(g - F.T @ (F @ g - x) / L))
             assert resid <= 1e-9
@@ -186,62 +185,40 @@ class TestSolveSimplexLs:
         for _ in range(20):
             F = rng.normal(size=(3, 4))
             x = rng.normal(size=3)
-            g = solve_simplex_ls(F, x)
+            g = solve_one(F, x)
             best_vertex = min(np.linalg.norm(x - F[:, j]) for j in range(4))
             assert np.linalg.norm(x - F @ g) <= best_vertex + 1e-9
 
-    def test_monotone_descent_without_acceleration(self):
-        F = np.random.default_rng(50).normal(size=(4, 5))
-        x = np.random.default_rng(51).normal(size=4) * 3.0
-        objs = []
-        for iters in range(1, 40):
-            g = solve_simplex_ls(F, x, SimplexSolveOptions(max_iters=iters,
-                                                           kkt_tol=1e-16,
-                                                           use_acceleration=False))
-            objs.append(float(np.sum((x - F @ g) ** 2)))
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-
-    def test_monotone_descent_with_acceleration(self):
+    def test_monotone_descent_with_acceleration(self, monkeypatch):
         F = np.random.default_rng(52).normal(size=(4, 5))
         x = np.random.default_rng(53).normal(size=4) * 3.0
+        monkeypatch.setattr(simplex_module, "KKT_TOL", 1e-16)
         objs = []
         for iters in range(1, 40):
-            g = solve_simplex_ls(F, x, SimplexSolveOptions(max_iters=iters, kkt_tol=1e-16))
+            monkeypatch.setattr(simplex_module, "MAX_ITERS", iters)
+            g = solve_one(F, x)
             objs.append(float(np.sum((x - F @ g) ** 2)))
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
-    def test_warm_start_never_worse(self):
+    def test_warm_start_never_worse(self, monkeypatch):
         rng = np.random.default_rng(60)
         F = rng.normal(size=(3, 4))
         x = rng.normal(size=3)
         g0 = rng.dirichlet(np.ones(4))
-        g = solve_simplex_ls(F, x, SimplexSolveOptions(max_iters=3), g0=g0)
+        monkeypatch.setattr(simplex_module, "MAX_ITERS", 3)
+        g = solve_one(F, x, g0=g0)
         assert np.sum((x - F @ g) ** 2) <= np.sum((x - F @ g0) ** 2) + 1e-12
 
     def test_zero_prototypes_rejected(self):
         with pytest.raises(InvalidInput):
-            solve_simplex_ls(np.zeros((2, 3)), np.ones(2))
+            solve_one(np.zeros((2, 3)), np.ones(2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
-            solve_simplex_ls(np.array([[np.nan, 1.0]]), np.array([1.0]))
-
-    def test_bad_options(self):
-        with pytest.raises(InvalidInput):
-            SimplexSolveOptions(max_iters=0)
-        with pytest.raises(InvalidInput):
-            SimplexSolveOptions(kkt_tol=0.0)
+            solve_one(np.array([[np.nan, 1.0]]), np.array([1.0]))
 
 
 class TestSolveMembership:
-    def test_single_row_reduces_to_vector_solve(self):
-        rng = np.random.default_rng(70)
-        F = rng.normal(size=(3, 4))
-        x = rng.normal(size=3)
-        G = solve_membership(F, x.reshape(3, 1))
-        g = solve_simplex_ls(F, x)
-        np.testing.assert_allclose(G[0], g, atol=1e-12)
-
     def test_prototype_columns_recover_identity(self):
         rng = np.random.default_rng(71)
         F = np.linalg.qr(rng.normal(size=(5, 3)))[0] * 2.0
@@ -260,7 +237,7 @@ class TestSolveMembership:
         # per-row solves agree up to the solver tolerance (the batch keeps
         # stepping until every row passes the KKT check)
         for i in (0, 7, 24):
-            np.testing.assert_allclose(G[i], solve_simplex_ls(F, X[:, i]), atol=1e-6)
+            np.testing.assert_allclose(G[i], solve_one(F, X[:, i]), atol=1e-6)
 
     def test_accepts_data_matrix(self):
         rng = np.random.default_rng(73)
