@@ -4,7 +4,7 @@ shared with the minimal-volume solver, and the AM baseline built on it.
 The engine alternates the exact prototype update F (G^T G + T) = A G, for a
 k x k term T, with warm-started membership solves, and stops on one
 scale-free rule: |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2).
-AM takes T = ridge * trace(G^T G)/k * I and converges to a stationary point
+AM takes T = RIDGE * trace(G^T G)/k * I and converges to a stationary point
 only; the closed-form solver gives the global reference.
 """
 
@@ -16,18 +16,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DataMatrix, Solution, as_matrix, center
+from .core import DataMatrix, Solution, _finite_matrix, _is_int, center, check_k
 from .errors import InvalidInput, NumericalFailure
 from .global_solver import objective
 from .simplex import solve_membership
 
-__all__ = ["LoopOptions", "AmOptions", "solve_am"]
+__all__ = ["AmOptions", "solve_am"]
+
+# Ridge of the AM F-update, scaled by trace(G^T G)/k; read at call time.
+RIDGE = 1e-10
 
 _SOLVERS = ("global", "am", "mvskm")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _is_number(v) -> bool:
@@ -35,7 +34,6 @@ def _is_number(v) -> bool:
 
 
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
-_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "a nonnegative number")
 _PATH = (lambda v: isinstance(v, (str, os.PathLike)) and bool(v), "a nonempty path")
 
 # field -> (test its value must pass, what the error says it must be), for
@@ -50,8 +48,7 @@ _FIELD_CHECKS = {
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
     "epsilon": (lambda v: _is_number(v) and v > 0, "a strictly positive number"),
-    "rel_obj_tol": _NONNEGATIVE,
-    "ridge": _NONNEGATIVE,
+    "rel_obj_tol": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
     "init": (lambda v: not isinstance(v, str) or v == "random_points",
              "'random_points' or a d x k array"),
 }
@@ -68,7 +65,7 @@ def _check_fields(record) -> None:
 
 
 @dataclass(frozen=True, kw_only=True)
-class LoopOptions:
+class AmOptions:
     """Controls of the alternating loop that solve_am and solve_mvskm share.
 
     The loop stops after max_outer_iters F-updates or once the objective
@@ -87,31 +84,21 @@ class LoopOptions:
         _check_fields(self)
 
 
-@dataclass(frozen=True, kw_only=True)
-class AmOptions(LoopOptions):
-    """Loop controls plus the ridge of the AM F-update, which is scaled by
-    trace(G^T G)/k before being added to the normal equations."""
-
-    ridge: float = 1e-10
-
-
 def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
     if isinstance(init, str):  # "random_points", the one name the options accept
         rng = np.random.default_rng(seed)
         idx = rng.choice(X.n, size=k, replace=False)
         return X.values[:, np.sort(idx)].copy()
-    F = as_matrix(init, "initial prototypes")
+    F = _finite_matrix(init, "initial prototypes")
     if F.shape != (X.d, k):
         raise InvalidInput(f"initial prototypes must be {X.d}x{k}")
-    if not np.all(np.isfinite(F)):
-        raise InvalidInput("initial prototypes contain non-finite entries")
     return F.copy()
 
 
 def _alternate(A, F, gram_term, loss, opts, energy):
     """Alternate F-updates and membership solves on the d x n data A from
     the d x k start F. gram_term(F, GtG) is the k x k term added to G^T G,
-    loss(F, G) the objective; opts, a LoopOptions, gives max_outer_iters and
+    loss(F, G) the objective; opts, an AmOptions, gives max_outer_iters and
     rel_obj_tol, and energy = ||Xc||_F^2 floors the stop rule so that it is
     scale-free.
     Returns (F, G, trace), trace[0] taken after the initial membership solve.
@@ -144,6 +131,8 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
     X : DataMatrix or array_like
     k : int, 1 <= k <= n
     opts : AmOptions, optional
+        Exactly an AmOptions; the loop controls of solve_mvskm's
+        MvskmOptions are not accepted here.
 
     Returns
     -------
@@ -154,15 +143,15 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
         rel_obj_tol * max(|L_prev|, ||Xc||_F^2), the rule shared with
         solve_mvskm, or when max_outer_iters is reached.
     """
-    opts = opts or AmOptions()
-    if not isinstance(X, DataMatrix):
-        X = center(X)
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > X.n:
-        raise InvalidInput(f"k must be in [1, {X.n}], got {k}")
+    opts = AmOptions() if opts is None else opts
+    if type(opts) is not AmOptions:
+        raise InvalidInput(f"solve_am requires AmOptions, got {type(opts).__name__}")
+    X = center(X)
+    check_k(k, 1, X.n)
     F, G, trace = _alternate(
         X.values,
         _initial_prototypes(X, k, opts.init, opts.seed),
-        lambda F, GtG: opts.ridge * np.trace(GtG) / k * np.eye(k),
+        lambda F, GtG: RIDGE * np.trace(GtG) / k * np.eye(k),
         lambda F, G: objective(X, F, G),
         opts,
         float(np.sum(X.centered * X.centered)),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, as_matrix, center, double_center, numerical_rank
+from .core import _finite_matrix, center, check_k, double_center, numerical_rank
 from .errors import InvalidInput, NotPositiveSemidefinite
 from .global_solver import objective, rotate_solution, solve_global
 
@@ -74,10 +74,8 @@ def _as_kernel(K) -> np.ndarray:
 def is_skmable(X, k: int, tau: float = 1e-10) -> bool:
     """Whether X admits an exact k-prototype factorization: the centered
     data must have numerical rank at most k - 1."""
-    if not isinstance(X, DataMatrix):
-        X = center(X)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidInput(f"k must be a positive integer, got {k}")
+    X = center(X)
+    check_k(k, 1)
     return numerical_rank(X.centered, tau) <= k - 1
 
 
@@ -85,8 +83,7 @@ def is_ti_lsdable(K, k: int, tau: float = 1e-10) -> bool:
     """Kernel-side decomposability: the doubly centered kernel H K H must
     have numerical rank at most k - 1."""
     Km = _as_kernel(K)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidInput(f"k must be a positive integer, got {k}")
+    check_k(k, 1)
     return numerical_rank(double_center(Km), tau) <= k - 1
 
 
@@ -116,13 +113,10 @@ def kernel_embed(K, tau: float = 1e-10) -> np.ndarray:
 def stability_audit(X, E, k: int) -> StabilityReport:
     """Evaluate the perturbed optimum on clean data against the bound
     2 ||E||_F^2 plus the clean optimum."""
-    if not isinstance(X, DataMatrix):
-        X = center(X)
-    E = as_matrix(E, "perturbation")
+    X = center(X)
+    E = _finite_matrix(E, "perturbation")
     if E.shape != X.values.shape:
         raise InvalidInput("perturbation must match the data shape")
-    if not np.all(np.isfinite(E)):
-        raise InvalidInput("perturbation contains non-finite entries")
     sol_clean, _ = solve_global(X, k)
     sol_pert, _ = solve_global(center(X.values + E), k)
     lhs = objective(X, sol_pert.prototypes, sol_pert.membership)
@@ -140,8 +134,7 @@ def nonuniqueness_gap(X, k: int):
 
     Returns (G1, G2, gap, (objective1, objective2)).
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidInput(f"gap needs k >= 2, got {k}")
+    check_k(k, 2)
     sol1, gf = solve_global(X, k)
     sol2 = rotate_solution(sol1, gf, -np.eye(k - 1))
     G1, G2 = sol1.membership, sol2.membership

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .audits import KernelMatrix
-from .core import double_center, numerical_rank
+from .core import check_k, double_center, numerical_rank
 from .errors import InvalidInput, NumericalFailure, SoftKMError
 from .io import (
     RunConfig,
@@ -88,8 +88,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     X, _ = load_csv(args.input)
-    if args.k < 1:
-        raise InvalidInput(f"k must be a positive integer, got {args.k}")
+    check_k(args.k, 1)
     tau = args.tau
     if args.command == "check-skmable":
         A = X.centered

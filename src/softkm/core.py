@@ -7,6 +7,7 @@ row sums.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "Solution",
     "as_matrix",
     "center",
+    "check_k",
     "double_center",
     "simplex_complement_basis",
     "truncated_svd",
@@ -28,7 +30,10 @@ __all__ = [
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce input to a 2-d float array; 1-d input becomes a single row."""
-    A = np.asarray(values, dtype=float)
+    try:
+        A = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+        raise InvalidInput(f"{name} is not a numeric array: {exc}") from None
     if A.ndim == 1:
         A = A.reshape(1, -1)
     if A.ndim != 2:
@@ -75,7 +80,8 @@ class GlobalFactors:
     data, sigma the matching singular values (descending), V (n x (k-1)) the
     right singular vectors. B (k x (k-1)) is the simplex-complement basis,
     r the largest column 2-norm of U^T Xc, a = r * sqrt(k (k-1)) the simplex
-    scale, and S = a * B^T.
+    scale, and S = a * B^T. k = 1 is the a = 0 case with empty U, sigma,
+    V and B: there is no simplex direction to span.
     """
 
     U: np.ndarray
@@ -126,19 +132,34 @@ class Solution:
         return self.prototypes.shape[1]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_k(k, lo: int, hi: int | None = None, name: str = "k") -> None:
+    """Raise InvalidInput unless k is an integer, not a bool, with
+    lo <= k (and k <= hi when hi is given)."""
+    if not (_is_int(k) and lo <= k and (hi is None or k <= hi)):
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise InvalidInput(f"{name} must be an integer {bound}, got {k!r}")
+
+
 def center(X) -> DataMatrix:
     """Split a raw d x n array into its row means and the centered remainder.
 
     Parameters
     ----------
-    X : array_like
+    X : DataMatrix or array_like
         Feature-by-sample matrix; a 1-d array is treated as one feature row.
+        A DataMatrix is already centered and comes back unchanged.
 
     Returns
     -------
     DataMatrix
         Immutable bundle of (values, mean, centered).
     """
+    if isinstance(X, DataMatrix):
+        return X
     A = _finite_matrix(X, "data matrix").copy()
     if A.size == 0:
         raise InvalidInput("data matrix is empty")
@@ -178,8 +199,7 @@ def simplex_complement_basis(k: int) -> np.ndarray:
     -j/sqrt(j(j+1)) in row j+1, zeros below, so B^T B = I_{k-1} and
     ones^T B = 0 by construction.
     """
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidInput(f"basis needs k >= 2, got {k}")
+    check_k(k, 2)
     B = np.zeros((k, k - 1))
     for j in range(1, k):
         s = 1.0 / np.sqrt(j * (j + 1.0))
@@ -211,8 +231,7 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     A = _finite_matrix(A)
     p, q = A.shape
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= min(p, q):
-        raise InvalidInput(f"truncation m={m} out of range [1, {min(p, q)}]")
+    check_k(m, 1, min(p, q), "truncation m")
     short = A if p <= q else A.T
     Q = np.linalg.eigh(short @ short.T)[1][:, -m:]
     Ub, s, Vt = np.linalg.svd(Q.T @ short, full_matrices=False)

@@ -19,6 +19,7 @@ from .core import (
     Solution,
     as_matrix,
     center,
+    check_k,
     simplex_complement_basis,
     truncated_svd,
 )
@@ -72,8 +73,7 @@ def objective(X, F, G) -> float:
 
 def infinity_bound(k: int) -> float:
     """Max-norm bound sqrt(k(k-1))/k for unit vectors orthogonal to ones."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise InvalidInput(f"bound needs k >= 2, got {k}")
+    check_k(k, 2)
     return float(np.sqrt(k * (k - 1.0)) / k)
 
 
@@ -97,47 +97,35 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
 
     Notes
     -----
-    k = 1 is forced analytically: the single prototype is the data mean.
+    k = 1 has no simplex direction: the single prototype is the data mean.
     Data with all samples identical yields the mean prototype replicated
     and a uniform membership.
     """
-    if not isinstance(X, DataMatrix):
-        X = center(X)
+    X = center(X)
     d, n = X.d, X.n
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InvalidInput(f"k must be a positive integer, got {k}")
+    check_k(k, 1, min(d, n) + 1)
     if k == 1:
-        F = X.mean.reshape(d, 1).copy()
-        G = np.ones((n, 1))
-        gf = GlobalFactors(
-            U=np.zeros((d, 0)),
-            sigma=np.zeros(0),
-            V=np.zeros((n, 0)),
-            B=np.zeros((1, 0)),
-            r=0.0,
-            a=0.0,
-            S=np.zeros((0, 1)),
-        )
-        return Solution(F, G, objective(X, F, G)), gf
-    if k - 1 > min(d, n):
-        raise InvalidInput(f"k - 1 = {k - 1} exceeds min(d, n) = {min(d, n)}")
-
-    U, sigma, V = truncated_svd(X.centered, k - 1)
-    B = simplex_complement_basis(k)
+        U, sigma, V, B = np.zeros((d, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros((1, 0))
+    else:
+        U, sigma, V = truncated_svd(X.centered, k - 1)
+        B = simplex_complement_basis(k)
     W = sigma[:, None] * V.T  # equals U^T Xc, (k-1) x n
     r = float(np.sqrt((W * W).sum(axis=0)).max())
-    if r <= 0.0:
-        # every sample equals the mean; the simplex collapses onto it
-        F = np.repeat(X.mean[:, None], k, axis=1)
-        G = np.full((n, k), 1.0 / k)
-        gf = GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=0.0, a=0.0,
-                           S=np.zeros((k - 1, k)))
-        return Solution(F, G, objective(X, F, G)), gf
-    a = r * np.sqrt(k * (k - 1.0))
-    F = a * (U @ B.T) + X.mean[:, None]
-    G = (W.T @ B.T) / a + 1.0 / k
-    gf = GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=r, a=float(a), S=a * B.T)
+    a = float(r * np.sqrt(k * (k - 1.0)))
+    F, G = _regular_simplex(U, W, B, a, X.mean)
+    gf = GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=r, a=a, S=a * B.T)
     return Solution(F, G, objective(X, F, G)), gf
+
+
+def _regular_simplex(U, W, B, a: float, xbar) -> tuple[np.ndarray, np.ndarray]:
+    """The regular simplex with basis B and scale a around the mean xbar:
+    prototypes F = a U B^T + xbar and memberships G = W^T B^T / a + 1/k for
+    the projected data W = U^T Xc. With a <= 0 (k = 1, or every sample
+    equal to the mean) it collapses to k copies of xbar and uniform rows."""
+    k, n = B.shape[0], W.shape[1]
+    if a <= 0.0:
+        return np.repeat(xbar[:, None], k, axis=1), np.full((n, k), 1.0 / k)
+    return a * (U @ B.T) + xbar[:, None], (W.T @ B.T) / a + 1.0 / k
 
 
 def rotate_solution(sol: Solution, gf: GlobalFactors, R) -> Solution:
@@ -154,13 +142,11 @@ def rotate_solution(sol: Solution, gf: GlobalFactors, R) -> Solution:
     k = gf.k
     if k < 2 or Rm.shape != (k - 1, k - 1):
         raise InvalidInput(f"rotation must be {k - 1}x{k - 1} for k = {k}")
-    if gf.a <= 0.0:
-        # degenerate simplex: rotations act trivially
-        return Solution(sol.prototypes.copy(), sol.membership.copy(), sol.objective)
+    d, n = gf.U.shape[0], gf.V.shape[0]
+    if sol.prototypes.shape != (d, k) or sol.membership.shape != (n, k):
+        raise InvalidInput(
+            f"solution from another solve: the factors are for d={d}, n={n}, k={k}")
     xbar = sol.prototypes.mean(axis=1)  # B^T ones = 0 makes this the data mean
-    Brot = gf.B @ Rm
-    W = gf.projected_data()
-    F = gf.a * (gf.U @ Brot.T) + xbar[:, None]
-    G = (W.T @ Brot.T) / gf.a + 1.0 / k
+    F, G = _regular_simplex(gf.U, gf.projected_data(), gf.B @ Rm, gf.a, xbar)
     # F G^T is rotation-invariant, so the objective carries over exactly
     return Solution(F, G, sol.objective)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .am import AmOptions, LoopOptions, _check_fields, solve_am
+from .am import AmOptions, _check_fields, solve_am
 from .core import DataMatrix, center
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
@@ -52,9 +52,9 @@ class RunConfig:
     output_dir: str
     lam: float | None = None
     epsilon: float = MvskmOptions.epsilon
-    seed: int = LoopOptions.seed
-    rel_obj_tol: float = LoopOptions.rel_obj_tol
-    max_iters: int = LoopOptions.max_outer_iters
+    seed: int = AmOptions.seed
+    rel_obj_tol: float = AmOptions.rel_obj_tol
+    max_iters: int = AmOptions.max_outer_iters
 
     def __post_init__(self):
         _check_fields(self)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .am import LoopOptions, _alternate, _initial_prototypes
-from .core import DataMatrix, Solution, as_matrix, center
+from .am import AmOptions, _alternate, _initial_prototypes
+from .core import Solution, as_matrix, center, check_k
 from .errors import DegenerateSimplex, InvalidInput, PreconditionViolated
 from .global_solver import objective
 from .simplex import solve_membership  # noqa: F401  (an attribute bench/harness.py wraps)
@@ -42,7 +42,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MvskmOptions(LoopOptions):
+class MvskmOptions(AmOptions):
     """Loop controls plus the volume penalty: lam weighs it (the objective
     carries lam/2) and is required, epsilon smooths the log and must be
     strictly positive."""
@@ -157,10 +157,8 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
     """
     if opts is None or not isinstance(opts, MvskmOptions):
         raise InvalidInput("solve_mvskm requires MvskmOptions")
-    if not isinstance(X, DataMatrix):
-        X = center(X)
-    if not isinstance(k, (int, np.integer)) or k < 2 or k > X.n:
-        raise InvalidInput(f"k must be in [2, {X.n}], got {k}")
+    X = center(X)
+    check_k(k, 2, X.n)
     lam, eps = float(opts.lam), float(opts.epsilon)
     Xc = X.centered
     F, G, trace = _alternate(

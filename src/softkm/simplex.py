@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataMatrix, as_matrix
+from .core import DataMatrix, _finite_matrix
 from .errors import InvalidInput, NumericalFailure
 
 __all__ = ["project_simplex", "solve_membership"]
@@ -113,10 +113,8 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
     (uniform rows otherwise); no row ends worse than its start, and every
     row is exactly feasible, since the last operation is a projection.
     """
-    F = as_matrix(F, "prototypes")
-    A = X.values if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
+    F = _finite_matrix(F, "prototypes")
+    A = _finite_matrix(X.values if isinstance(X, DataMatrix) else X, "data matrix")
     if A.shape[0] != F.shape[0]:
         raise InvalidInput("X and F must agree on the feature dimension")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(A))):
-        raise InvalidInput("non-finite entries in F or X")
     return _pgd_rows(F, A.T, warm)

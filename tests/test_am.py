@@ -3,7 +3,16 @@ import pytest
 
 import softkm.am as am_module
 from conftest import decomposable_instance, random_instance
-from softkm import AmOptions, InvalidInput, NumericalFailure, center, objective, solve_am, solve_global
+from softkm import (
+    AmOptions,
+    InvalidInput,
+    MvskmOptions,
+    NumericalFailure,
+    center,
+    objective,
+    solve_am,
+    solve_global,
+)
 from softkm.synth import two_gaussians
 
 
@@ -74,13 +83,14 @@ class TestSolveAm:
         assert len(trace) < 301
         assert len(scaled) == len(trace)
 
-    def test_singular_normal_equations_without_ridge(self):
+    def test_singular_normal_equations_without_ridge(self, monkeypatch):
         # identical prototype columns pin every membership row at the uniform
         # vector, so G^T G is an exact rank-one ones matrix
         X = np.array([[0.0, 0.0, 4.0, 4.0], [0.0, 0.0, 4.0, 4.0]])
         F0 = np.array([[1.0, 1.0], [1.0, 1.0]])
+        monkeypatch.setattr(am_module, "RIDGE", 0.0)
         with pytest.raises(NumericalFailure):
-            solve_am(X, 2, AmOptions(init=F0, ridge=0.0))
+            solve_am(X, 2, AmOptions(init=F0))
 
     def test_ridge_keeps_default_path_alive(self):
         X = np.array([[0.0, 0.0, 4.0, 4.0], [0.0, 0.0, 4.0, 4.0]])
@@ -97,8 +107,15 @@ class TestSolveAm:
 
     def test_bad_init_shape(self):
         X = random_instance(31, 2, 10)
-        with pytest.raises(InvalidInput):
-            solve_am(X, 2, AmOptions(init=np.ones((3, 2))))
+        for init in (np.ones((3, 2)), [[1, 2], [3]]):  # wrong shape, ragged
+            with pytest.raises(InvalidInput, match="initial prototypes"):
+                solve_am(X, 2, AmOptions(init=init))
+
+    def test_requires_exactly_am_options(self):
+        X = random_instance(31, 2, 10)
+        for opts in (MvskmOptions(lam=1.0), "random_points"):
+            with pytest.raises(InvalidInput):
+                solve_am(X, 2, opts)
 
     def test_unknown_init_name(self):
         X = random_instance(31, 2, 10)

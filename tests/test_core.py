@@ -58,6 +58,10 @@ class TestCenter:
         np.testing.assert_allclose(Y.mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(Y.centered, X.centered, atol=1e-12)
 
+    def test_data_matrix_comes_back_unchanged(self):
+        X = center(random_instance(4, 5, 30))
+        assert center(X) is X
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidInput):
             center(np.zeros((0, 3)))

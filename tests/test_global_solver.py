@@ -106,6 +106,10 @@ class TestSolveGlobal:
         with pytest.raises(InvalidInput):
             solve_global(random_instance(0, 3, 10), 0)
 
+    def test_ragged_data_rejected(self):
+        with pytest.raises(InvalidInput, match="data matrix"):
+            solve_global([[1.0, 2.0], [3.0]], 1)
+
 
 class TestRotateSolution:
     def test_identity_rotation(self):
@@ -155,6 +159,14 @@ class TestRotateSolution:
         sol, gf = solve_global(X, 3)
         with pytest.raises(InvalidInput):
             rotate_solution(sol, gf, np.eye(3))
+
+    def test_solution_from_another_solve_rejected(self):
+        sol, gf = solve_global(random_instance(27, 3, 20), 3)
+        other_d, _ = solve_global(random_instance(28, 4, 20), 3)
+        other_n, _ = solve_global(random_instance(29, 3, 21), 3)
+        for other in (other_d, other_n):
+            with pytest.raises(InvalidInput):
+                rotate_solution(other, gf, np.eye(2))
 
     def test_rotation_matrix_type(self):
         R = RotationMatrix(np.eye(2))

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import softkm.am as am_module
 from conftest import random_instance, random_row_stochastic
 from softkm import (
     AmOptions,
@@ -187,11 +188,12 @@ class TestSolveMvskm:
         floor = 0.5 * opts.lam * 3 * math.log(opts.epsilon)
         assert min(state.objective_trace) >= floor
 
-    def test_lambda_zero_tracks_plain_alternation(self):
+    def test_lambda_zero_tracks_plain_alternation(self, monkeypatch):
         X = random_instance(42, 3, 50)
         F0 = X[:, [3, 17, 31]]
         n_steps = 12
-        _, am_trace = solve_am(X, 3, AmOptions(init=F0, ridge=0.0, rel_obj_tol=0.0, max_outer_iters=n_steps))
+        monkeypatch.setattr(am_module, "RIDGE", 0.0)
+        _, am_trace = solve_am(X, 3, AmOptions(init=F0, rel_obj_tol=0.0, max_outer_iters=n_steps))
         _, state = solve_mvskm(
             X, 3, MvskmOptions(lam=0.0, init=F0, rel_obj_tol=0.0, max_outer_iters=n_steps)
         )
@@ -273,8 +275,7 @@ class TestSolveMvskm:
                  ("init", "kmeans++", (AmOptions, mvskm)),
                  ("lam", -0.1, (mvskm, run_config)), ("lam", "1", (mvskm, run_config)),
                  ("lam", True, (mvskm, run_config)), ("lam", None, (mvskm, run_config)),
-                 ("epsilon", 0.0, (mvskm, run_config)), ("ridge", -1.0, (AmOptions,)),
-                 ("ridge", "0", (AmOptions,))]
+                 ("epsilon", 0.0, (mvskm, run_config))]
         for name, value, records in cases:
             for make in records:
                 with pytest.raises(InvalidInput):
