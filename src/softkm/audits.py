@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite_matrix, center, check_k, double_center, numerical_rank
+from .core import _finite_matrix, as_matrix, center, check_k, double_center, numerical_rank
 from .errors import InvalidInput, NotPositiveSemidefinite
 from .global_solver import objective, rotate_solution, solve_global
 
@@ -34,8 +34,8 @@ class KernelMatrix:
     K: np.ndarray
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1] or K.size == 0:
+        K = as_matrix(self.K, "kernel")
+        if K.shape[0] != K.shape[1] or K.size == 0:
             raise InvalidInput("kernel must be a nonempty square matrix")
         if not np.all(np.isfinite(K)):
             raise InvalidInput("kernel contains non-finite entries")
@@ -68,7 +68,7 @@ class StabilityReport:
 def _as_kernel(K) -> np.ndarray:
     if isinstance(K, KernelMatrix):
         return K.K
-    return KernelMatrix(np.asarray(K, dtype=float)).K
+    return KernelMatrix(K).K
 
 
 def is_skmable(X, k: int, tau: float = 1e-10) -> bool:

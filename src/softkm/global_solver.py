@@ -41,8 +41,8 @@ class RotationMatrix:
     R: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] < 1:
+        R = as_matrix(self.R, "rotation")
+        if R.shape[0] != R.shape[1] or R.shape[0] < 1:
             raise InvalidInput("rotation must be a square matrix")
         if np.linalg.norm(R.T @ R - np.eye(R.shape[0])) > 1e-10:
             raise InvalidInput("rotation matrix is not orthogonal")
@@ -58,9 +58,7 @@ def objective(X, F, G) -> float:
     """Squared Frobenius reconstruction error ||X - F G^T||_F^2."""
     A = X.values if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
     F = as_matrix(F, "prototypes")
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        raise InvalidInput("membership must be a 2-d array")
+    G = as_matrix(G, "membership")
     d, n = A.shape
     if F.shape[0] != d or G.shape[0] != n or F.shape[1] != G.shape[1]:
         raise InvalidInput(
@@ -133,12 +131,11 @@ def rotate_solution(sol: Solution, gf: GlobalFactors, R) -> Solution:
 
     Replacing the simplex basis B by B @ R for orthogonal R leaves F G^T,
     and hence the objective, unchanged while moving both factors. The input
-    solution must come from `solve_global` with its matching factors.
+    solution must come from `solve_global` with its matching factors: its
+    F G^T - xbar 1^T must equal U W, the product every member of one
+    solve's rotation family shares, within 1e-8 (||U W|| + ||xbar 1^T||).
     """
-    if isinstance(R, RotationMatrix):
-        Rm = R.R
-    else:
-        Rm = RotationMatrix(np.asarray(R, dtype=float)).R
+    Rm = (R if isinstance(R, RotationMatrix) else RotationMatrix(R)).R
     k = gf.k
     if k < 2 or Rm.shape != (k - 1, k - 1):
         raise InvalidInput(f"rotation must be {k - 1}x{k - 1} for k = {k}")
@@ -147,6 +144,11 @@ def rotate_solution(sol: Solution, gf: GlobalFactors, R) -> Solution:
         raise InvalidInput(
             f"solution from another solve: the factors are for d={d}, n={n}, k={k}")
     xbar = sol.prototypes.mean(axis=1)  # B^T ones = 0 makes this the data mean
-    F, G = _regular_simplex(gf.U, gf.projected_data(), gf.B @ Rm, gf.a, xbar)
+    W = gf.projected_data()
+    UW = gf.U @ W
+    gap = np.linalg.norm(sol.prototypes @ sol.membership.T - xbar[:, None] - UW)
+    if not gap <= 1e-8 * (np.linalg.norm(UW) + np.sqrt(n) * np.linalg.norm(xbar)):
+        raise InvalidInput("solution from another solve: F G^T does not match the factors")
+    F, G = _regular_simplex(gf.U, W, gf.B @ Rm, gf.a, xbar)
     # F G^T is rotation-invariant, so the objective carries over exactly
     return Solution(F, G, sol.objective)

@@ -75,6 +75,10 @@ class TestIsTiLsdable:
         with pytest.raises(InvalidInput):
             is_ti_lsdable(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
+    def test_rejects_ragged(self):
+        with pytest.raises(InvalidInput, match="kernel"):
+            is_ti_lsdable([[1.0, 2.0], [3.0]], 1)
+
     def test_accepts_kernel_matrix(self):
         K = KernelMatrix(np.ones((4, 4)))
         assert is_ti_lsdable(K, 1)

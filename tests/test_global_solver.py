@@ -159,12 +159,18 @@ class TestRotateSolution:
         sol, gf = solve_global(X, 3)
         with pytest.raises(InvalidInput):
             rotate_solution(sol, gf, np.eye(3))
+        with pytest.raises(InvalidInput, match="rotation"):
+            rotate_solution(sol, gf, [[1.0, 0], [0]])
 
     def test_solution_from_another_solve_rejected(self):
-        sol, gf = solve_global(random_instance(27, 3, 20), 3)
+        X = random_instance(27, 3, 20)
+        sol, gf = solve_global(X, 3)
         other_d, _ = solve_global(random_instance(28, 4, 20), 3)
         other_n, _ = solve_global(random_instance(29, 3, 21), 3)
-        for other in (other_d, other_n):
+        # same shape: other data, and the same data scaled (same U, other W)
+        other_data, _ = solve_global(random_instance(30, 3, 20) * 5.0, 3)
+        scaled, _ = solve_global(X * 5.0, 3)
+        for other in (other_d, other_n, other_data, scaled):
             with pytest.raises(InvalidInput):
                 rotate_solution(other, gf, np.eye(2))
 
@@ -191,6 +197,8 @@ class TestObjective:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             objective(np.eye(3), np.eye(3), np.ones((2, 3)))
+        with pytest.raises(InvalidInput, match="membership"):
+            objective(np.ones((2, 3)), np.ones((2, 2)), [[1, 0], [1], [0, 1]])
 
 
 class TestInfinityBound:

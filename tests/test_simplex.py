@@ -38,6 +38,18 @@ def solve_one(F, x, g0=None):
     return solve_membership(F, np.reshape(x, (-1, 1)), warm=warm)[0]
 
 
+def on_pgd_path(d, k):
+    """Whether solve_membership sends a d x k prototype matrix to PGD."""
+    return simplex_module._face_count(d, k) > simplex_module.MAX_FACES
+
+
+def kkt_residual(F, x, g):
+    """||g - P(g - grad / L)|| at the Lipschitz step L = sigma_max(F)^2;
+    zero exactly at the minimizer."""
+    L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
+    return float(np.linalg.norm(g - project_simplex(g - F.T @ (F @ g - x) / L)))
+
+
 def closed_form_interior(F, x):
     """Equality-constrained least squares through the thin SVD of a
     rank-(k-1) prototype matrix; valid when the result is interior."""
@@ -84,6 +96,10 @@ class TestProjectSimplex:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
             project_simplex([np.inf, 0.0])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidInput, match="projection input"):
+            project_simplex([[1.0], [2.0, 3.0]])
 
     def test_kkt_structure(self):
         # active coordinates share one multiplier, inactive ones sit below it
@@ -169,15 +185,15 @@ class TestSolveSimplexLs:
         assert hits >= 10
 
     def test_kkt_residual_at_return(self):
+        # shapes above MAX_FACES, so the projected gradient answers
         rng = np.random.default_rng(40)
         for _ in range(30):
-            d, k = int(rng.integers(1, 7)), int(rng.integers(2, 7))
+            d, k = int(rng.integers(4, 7)), int(rng.integers(9, 12))
+            assert on_pgd_path(d, k)
             F = rng.normal(size=(d, k))
             x = rng.normal(size=d) * 2.0
             g = solve_one(F, x)
-            L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
-            resid = np.linalg.norm(g - project_simplex(g - F.T @ (F @ g - x) / L))
-            assert resid <= 1e-9
+            assert kkt_residual(F, x, g) <= 1e-9
 
     def test_vertex_domination(self):
         # the solution never loses to any vertex of the simplex
@@ -190,7 +206,8 @@ class TestSolveSimplexLs:
             assert np.linalg.norm(x - F @ g) <= best_vertex + 1e-9
 
     def test_monotone_descent_with_acceleration(self, monkeypatch):
-        F = np.random.default_rng(52).normal(size=(4, 5))
+        F = np.random.default_rng(52).normal(size=(4, 9))
+        assert on_pgd_path(4, 9)
         x = np.random.default_rng(53).normal(size=4) * 3.0
         monkeypatch.setattr(simplex_module, "KKT_TOL", 1e-16)
         objs = []
@@ -201,13 +218,18 @@ class TestSolveSimplexLs:
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
     def test_warm_start_never_worse(self, monkeypatch):
+        # (3, 4) is solved by face enumeration, (4, 9) by three PGD steps
         rng = np.random.default_rng(60)
-        F = rng.normal(size=(3, 4))
-        x = rng.normal(size=3)
-        g0 = rng.dirichlet(np.ones(4))
         monkeypatch.setattr(simplex_module, "MAX_ITERS", 3)
-        g = solve_one(F, x, g0=g0)
-        assert np.sum((x - F @ g) ** 2) <= np.sum((x - F @ g0) ** 2) + 1e-12
+        for d, k in ((3, 4), (4, 9)):
+            assert on_pgd_path(d, k) == (k == 9)
+            F = rng.normal(size=(d, k))
+            X = rng.normal(size=(d, 20))
+            G0 = rng.dirichlet(np.ones(k), size=20)
+            G = solve_membership(F, X, warm=G0)
+            before = np.sum((X - F @ G0.T) ** 2, axis=0)
+            after = np.sum((X - F @ G.T) ** 2, axis=0)
+            assert np.all(after <= before + 1e-12)
 
     def test_zero_prototypes_rejected(self):
         with pytest.raises(InvalidInput):
@@ -234,8 +256,8 @@ class TestSolveMembership:
         assert G.shape == (25, 3)
         assert G.min() >= 0.0
         np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-12)
-        # per-row solves agree up to the solver tolerance (the batch keeps
-        # stepping until every row passes the KKT check)
+        # per-row solves agree with the batch (on the PGD path only up to
+        # its tolerance, since the batch steps until every row passes)
         for i in (0, 7, 24):
             np.testing.assert_allclose(G[i], solve_one(F, X[:, i]), atol=1e-6)
 
@@ -256,3 +278,69 @@ class TestSolveMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             solve_membership(np.ones((3, 2)), np.ones((2, 5)))
+
+
+def exact_path_case(rng, d, k, kind):
+    """Prototypes F (d x k) and samples X (d x 6) of one named shape."""
+    F = rng.normal(size=(d, k))
+    X = rng.normal(size=(d, 6)) * 1.5
+    if kind == "duplicate":
+        F[:, 1] = F[:, 0]
+    elif kind == "collapsed":
+        F = F[:, :1] + 1e-7 * rng.uniform(-1.0, 1.0, size=(d, k))
+        X = F[:, :1] + 1e-7 * rng.normal(size=(d, 6))
+    elif kind == "scaled_down":
+        F, X = F * 1e-6, X * 1e-6
+    elif kind == "scaled_up":
+        F, X = F * 1e6, X * 1e6
+    return F, X
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("kind", ["random", "duplicate", "collapsed",
+                                      "scaled_down", "scaled_up"])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_tight_pgd_reference(self, monkeypatch, k, kind):
+        rng = np.random.default_rng(100 * k + len(kind))
+        for d in (1, 2, 3, k + 2):
+            assert not on_pgd_path(d, k)
+            F, X = exact_path_case(rng, d, k, kind)
+            G = solve_membership(F, X)
+            with monkeypatch.context() as mp:
+                mp.setattr(simplex_module, "KKT_TOL", 1e-14)
+                mp.setattr(simplex_module, "MAX_ITERS", 20000)
+                G_ref = simplex_module._pgd_rows(F, X.T)
+            assert G.min() >= 0.0
+            np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            obj = np.sum((X - F @ G.T) ** 2, axis=0)
+            ref = np.sum((X - F @ G_ref.T) ** 2, axis=0)
+            scale = ref + np.sum(X * X, axis=0)
+            assert np.all(obj <= ref + 1e-12 * scale), (d, obj - ref)
+            for i in range(X.shape[1]):
+                assert kkt_residual(F, X[:, i], G[i]) <= 1e-12, (d, i)
+
+    def test_dispatch(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("projected gradient reached")
+
+        monkeypatch.setattr(simplex_module, "_pgd_rows", refuse)
+        rng = np.random.default_rng(90)
+        for k in range(1, 8):
+            for d in (1, 3, 10, 40):
+                G = solve_membership(rng.normal(size=(d, k)), rng.normal(size=(d, 5)))
+                assert G.shape == (5, k)
+        with pytest.raises(RuntimeError, match="projected gradient reached"):
+            solve_membership(rng.normal(size=(10, 9)), rng.normal(size=(10, 5)))
+
+    def test_optimal_warm_rows_kept(self):
+        rng = np.random.default_rng(91)
+        F = rng.normal(size=(3, 5))
+        X = rng.normal(size=(3, 30))
+        G = solve_membership(F, X)
+        np.testing.assert_array_equal(solve_membership(F, X, warm=G), G)
+
+    def test_infeasible_warm_rows_not_kept(self):
+        # [-2, 3] fits x = 3 exactly but lies off the simplex
+        F, x = np.array([[0.0, 1.0]]), np.array([[3.0]])
+        for warm in ([[-2.0, 3.0]], [[0.0, 3.0]]):
+            np.testing.assert_array_equal(solve_membership(F, x, warm=warm), [[0.0, 1.0]])
