@@ -118,6 +118,8 @@ class Solution:
         F, G = self.prototypes, self.membership
         if F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]:
             raise InvalidInput("prototypes and membership must share the cluster axis")
+        if not (np.isfinite(F).all() and np.isfinite(G).all()):
+            raise InvalidInput("prototypes and membership must be finite")
         if G.size and float(G.min()) < -1e-12:
             raise InvalidInput("membership has negative entries beyond tolerance")
         if G.size and float(np.abs(G.sum(axis=1) - 1.0).max()) > 1e-10:

@@ -37,13 +37,16 @@ __all__ = [
     "write_bench_outputs",
 ]
 
+_NUMBER = "%.12g"
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
     input lives and the artifacts go. Construction checks every field,
     whatever the solver, against the table that checks AmOptions and
-    MvskmOptions; mvskm needs lam. epsilon is stored as a float; the
-    iterative defaults are the options'.
+    MvskmOptions; mvskm needs lam. lam and epsilon are stored as floats;
+    the iterative defaults are the options'.
     """
 
     solver: str
@@ -61,6 +64,8 @@ class RunConfig:
         if self.solver == "mvskm" and self.lam is None:
             raise InvalidInput("mvskm requires a nonnegative lambda")
         object.__setattr__(self, "epsilon", float(self.epsilon))
+        if self.lam is not None:
+            object.__setattr__(self, "lam", float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -149,18 +154,10 @@ def load_labels(path: str) -> np.ndarray:
     return hard_assign(A.T)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def save_matrix_csv(path: str, A) -> None:
-    """Write a matrix row-wise with 12 significant digits per entry."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(-1, 1)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in A:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write a matrix row-wise with 12 significant digits per entry; a
+    vector becomes one column."""
+    np.savetxt(path, np.asarray(A, dtype=float), fmt=_NUMBER, delimiter=",")
 
 
 def _solve(config: RunConfig, X: DataMatrix):
@@ -179,15 +176,13 @@ def _solve(config: RunConfig, X: DataMatrix):
 
 
 def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
-    labels = hard_assign(sol.membership)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,label,is_prototype\n")
-        for i in range(X.n):
-            fh.write(f"{_fmt(X.values[0, i])},{_fmt(X.values[1, i])},{labels[i]},0\n")
-        for j in range(sol.k):
-            fh.write(
-                f"{_fmt(sol.prototypes[0, j])},{_fmt(sol.prototypes[1, j])},{j},1\n"
-            )
+    # labels and flags are integer-valued floats, which %.12g prints as integers
+    table = np.block([
+        [X.values.T, hard_assign(sol.membership)[:, None], np.zeros((X.n, 1))],
+        [sol.prototypes.T, np.arange(sol.k)[:, None], np.ones((sol.k, 1))],
+    ])
+    np.savetxt(path, table, fmt=_NUMBER, delimiter=",",
+               header="x,y,label,is_prototype", comments="")
 
 
 def _execute(config: RunConfig, X: DataMatrix):
@@ -229,6 +224,7 @@ def run(config: RunConfig) -> RunResult:
 
 
 _BENCH_COLUMNS = ("solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity")
+_BENCH_ROW = "%s,%d,%d" + f",{_NUMBER}" * 5 + "\n"
 
 
 def bench(configs) -> list[dict]:
@@ -271,10 +267,6 @@ def write_bench_outputs(rows, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(_BENCH_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(
-                _fmt(r[c]) if isinstance(r[c], float) else str(r[c])
-                for c in _BENCH_COLUMNS
-            ) + "\n")
+        fh.writelines(_BENCH_ROW % tuple(r[c] for c in _BENCH_COLUMNS) for r in rows)
     with open(os.path.join(out_dir, "bench.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_bench_table(rows) + "\n")

@@ -16,6 +16,8 @@ def hard_assign(G) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.size == 0:
         raise InvalidInput("membership must be a nonempty 2-d array")
+    if not np.isfinite(G).all():
+        raise InvalidInput("membership must be finite")
     if float(np.abs(G.sum(axis=1) - 1.0).max()) > 1e-6:
         raise InvalidInput("membership rows must sum to one")
     if float(G.min()) < -1e-6:

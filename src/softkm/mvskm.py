@@ -131,10 +131,7 @@ def reweight_matrix(F, epsilon: float) -> np.ndarray:
 def mvskm_objective(Xc, F, G, lam: float, epsilon: float) -> float:
     """Regularized objective on centered data Xc (a plain d x n array)."""
     Xc = as_matrix(Xc, "centered data")
-    F = as_matrix(F, "prototypes")
-    G = np.asarray(G, dtype=float)
-    R = Xc - F @ G.T
-    return float(np.sum(R * R)) + 0.5 * lam * volume_regularizer(F, epsilon)
+    return objective(Xc, F, G) + 0.5 * lam * volume_regularizer(F, epsilon)
 
 
 def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:

@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from .core import DataMatrix, _finite_matrix, as_matrix
+from .core import DataMatrix, _finite_matrix
 from .errors import InvalidInput, NumericalFailure
 
 __all__ = ["project_simplex", "solve_membership"]
@@ -174,7 +174,7 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
     if not F.any():
         raise InvalidInput("prototype matrix must be nonzero")
     if warm is not None:
-        warm = as_matrix(warm, "warm start")
+        warm = _finite_matrix(warm, "warm start")
         if warm.shape != (m, k):
             raise InvalidInput(f"warm start must be {m}x{k}")
     P = A.T

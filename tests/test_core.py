@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, random_orthogonal
-from softkm import InvalidInput, center, numerical_rank, simplex_complement_basis, truncated_svd
+from softkm import (
+    InvalidInput,
+    Solution,
+    center,
+    numerical_rank,
+    simplex_complement_basis,
+    truncated_svd,
+)
 from softkm.core import double_center
 
 
@@ -78,6 +85,16 @@ class TestCenter:
         X = center(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             X.values[0, 0] = 9.0
+
+
+class TestSolution:
+    @pytest.mark.parametrize("F, G", [
+        (np.eye(2), np.array([[np.nan, 0.5], [0.5, 0.5]])),
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.full((2, 2), 0.5)),
+    ], ids=["membership", "prototypes"])
+    def test_non_finite_rejected(self, F, G):
+        with pytest.raises(InvalidInput, match="finite"):
+            Solution(F, G, 1.0)
 
 
 class TestSimplexComplementBasis:

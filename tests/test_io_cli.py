@@ -8,7 +8,9 @@ from softkm import (
     NumericalFailure,
     ParseError,
     RunConfig,
+    Solution,
     bench,
+    center,
     is_skmable,
     is_ti_lsdable,
     load_csv,
@@ -16,14 +18,29 @@ from softkm import (
     run,
     save_matrix_csv,
     simplex_complement_basis,
+    solve_global,
 )
 from softkm.cli import main
+from softkm.io import _write_plotdata, write_bench_outputs
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+def reference_csv(rows) -> str:
+    """The per-value formatter the CSV writers replaced: a float with 12
+    significant digits, anything else with str."""
+    return "".join(
+        ",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+
+
+# -0.0, subnormals, 1e+-300 and integer-valued floats
+EDGE = np.array([[-0.0, 5e-324, 1e300, -1e-300, 3.0],
+                 [2.5e-310, -1e300, 1e-300, -2.0, 1 / 3]])
 
 TWO_POINTS = "-1\n1\n"
 
@@ -126,6 +143,14 @@ class TestSaveMatrixCsv:
         save_matrix_csv(str(p), np.array([1.0, 2.0]))
         assert p.read_text() == "1\n2\n"
 
+    @pytest.mark.parametrize("A", [EDGE, EDGE.T, EDGE[0], np.zeros((3, 0)), np.zeros((0, 2))],
+                             ids=["matrix", "transposed", "vector", "no-columns", "no-rows"])
+    def test_matches_reference_formatter(self, tmp_path, A):
+        p = tmp_path / "m.csv"
+        save_matrix_csv(str(p), A)
+        rows = A.reshape(-1, 1) if A.ndim == 1 else A
+        assert p.read_text() == reference_csv(rows.tolist())
+
 
 class TestRun:
     def test_two_point_global(self, tmp_path):
@@ -175,6 +200,21 @@ class TestRun:
         assert len(lines) == 1 + 6 + 2
         flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert flags == ["0"] * 6 + ["1"] * 2
+        X, _ = load_csv(inp)
+        sol, _ = solve_global(X, 2)
+        labels = np.argmax(sol.membership, axis=1)
+        expected = [[*x, int(c), 0] for x, c in zip(X.values.T.tolist(), labels)]
+        expected += [[*f, j, 1] for j, f in enumerate(sol.prototypes.T.tolist())]
+        assert lines == ["x,y,label,is_prototype"] + reference_csv(expected).splitlines()
+
+    def test_plotdata_edge_values(self, tmp_path):
+        G = np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        sol = Solution(EDGE[:, :2].copy(), G, 0.0)
+        p = tmp_path / "plotdata.csv"
+        _write_plotdata(str(p), center(EDGE), sol)
+        expected = [[*x, c, 0] for x, c in zip(EDGE.T.tolist(), [0, 1, 0, 1, 0])]
+        expected += [[*f, j, 1] for j, f in enumerate(EDGE[:, :2].T.tolist())]
+        assert p.read_text() == "x,y,label,is_prototype\n" + reference_csv(expected)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         inp = write(tmp_path / "in.csv", LABELED_2D)
@@ -234,6 +274,14 @@ class TestBench:
             bench([cfg, RunConfig(solver="global", k=2, input_path=other,
                                   output_dir=str(tmp_path / "p"))])
         assert not (tmp_path / "u").exists() and not (tmp_path / "o").exists()
+
+    def test_bench_csv_matches_reference_formatter(self, tmp_path):
+        cols = ("solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity")
+        rows = [dict(zip(cols, ("global", 2, 0, 0.0, v, 1.0, -0.0, 5e-324)))
+                for v in EDGE.ravel().tolist()]
+        write_bench_outputs(rows, str(tmp_path))
+        expected = ",".join(cols) + "\n" + reference_csv([[r[c] for c in cols] for r in rows])
+        assert (tmp_path / "bench.csv").read_text() == expected
 
 
 class TestCli:
@@ -352,6 +400,18 @@ class TestCli:
         assert lines[0] == "solver,k,seed,lambda,objective,acc,nmi,purity"
         assert (out / "bench.txt").exists()
         assert "solver" in capsys.readouterr().out
+
+    def test_int_and_float_lambda_write_identical_results(self, tmp_path):
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        results = []
+        for name, lam in (("int", 1), ("float", 1.0)):
+            out = tmp_path / name
+            spec = {"input": inp, "out": str(out),
+                    "runs": [{"solver": "mvskm", "k": 2, "lambda": lam, "seed": 0}]}
+            assert main(["bench", "--spec", write(tmp_path / f"{name}.json", json.dumps(spec))]) == 0
+            results.append((out / "run_000_mvskm" / "result.json").read_bytes())
+        assert results[0] == results[1]
+        assert b'"lambda": 1.0,' in results[0]
 
     def test_bench_spec_errors(self, tmp_path, capsys, monkeypatch):
         inp = write(tmp_path / "in.csv", LABELED_2D)

@@ -36,6 +36,10 @@ class TestHardAssign:
         with pytest.raises(InvalidInput):
             hard_assign(np.array([[1.2, -0.2]]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInput, match="finite"):
+            hard_assign([[np.nan, np.nan], [0.3, 0.7]])
+
 
 class TestAccuracy:
     def test_half_right(self):

@@ -152,6 +152,12 @@ class TestMvskmObjective:
         expected = float(np.sum((Xc - F @ G.T) ** 2))
         assert mvskm_objective(Xc, F, G, 0.0, EPS) == pytest.approx(expected, rel=1e-12)
 
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(4)
+        Xc, F = rng.standard_normal((2, 140)), rng.standard_normal((2, 3))
+        with pytest.raises(InvalidInput, match="shape mismatch"):
+            mvskm_objective(Xc, F, np.full((1, 3), 1 / 3), 1.0, EPS)
+
     def test_gradient_in_prototypes(self):
         # d/dF [ ||Xc - F G^T||^2 + (lam/2) sum log(sigma_i^2 + eps) ]
         #   = 2 (F G^T - Xc) G + lam * F * reweight_matrix(F)

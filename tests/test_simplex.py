@@ -275,6 +275,15 @@ class TestSolveMembership:
             solve_membership(rng.normal(size=(2, 3)), rng.normal(size=(2, 5)),
                              warm=np.ones((4, 3)) / 3)
 
+    @pytest.mark.parametrize("d, k, pgd", [(2, 3, False), (9, 9, True)], ids=["exact", "pgd"])
+    def test_non_finite_warm_start_rejected(self, d, k, pgd):
+        assert on_pgd_path(d, k) == pgd
+        rng = np.random.default_rng(75)
+        warm = np.full((5, k), 1.0 / k)
+        warm[2, 0] = np.nan
+        with pytest.raises(InvalidInput, match="warm start"):
+            solve_membership(rng.normal(size=(d, k)), rng.normal(size=(d, 5)), warm=warm)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             solve_membership(np.ones((3, 2)), np.ones((2, 5)))
