@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _finite_matrix, as_matrix, center, check_k, double_center, numerical_rank
+from .core import (
+    _finite_matrix,
+    _rank_at_most,
+    as_matrix,
+    center,
+    check_k,
+    double_center,
+    numerical_rank,  # the exact rank _rank_at_most falls back to
+)
 from .errors import InvalidInput, NotPositiveSemidefinite
 from .global_solver import objective, rotate_solution, solve_global
 
@@ -73,18 +81,27 @@ def _as_kernel(K) -> np.ndarray:
 
 def is_skmable(X, k: int, tau: float = 1e-10) -> bool:
     """Whether X admits an exact k-prototype factorization: the centered
-    data must have numerical rank at most k - 1."""
+    data must have numerical rank at most k - 1.
+
+    The answer is exactly `numerical_rank(Xc, tau) <= k - 1`. A randomized
+    sketch of Xc certifies it in most cases (and k - 1 >= min(d, n) needs
+    no decomposition); only a singular value near the threshold, or a
+    matrix too small to sketch, computes the exact rank."""
     X = center(X)
     check_k(k, 1)
-    return numerical_rank(X.centered, tau) <= k - 1
+    return _rank_at_most(X.centered, k - 1, tau)
 
 
 def is_ti_lsdable(K, k: int, tau: float = 1e-10) -> bool:
     """Kernel-side decomposability: the doubly centered kernel H K H must
-    have numerical rank at most k - 1."""
+    have numerical rank at most k - 1.
+
+    The answer is exactly `numerical_rank(H K H, tau) <= k - 1`, certified
+    from a randomized sketch as in `is_skmable`, with the exact rank as the
+    fallback."""
     Km = _as_kernel(K)
     check_k(k, 1)
-    return numerical_rank(double_center(Km), tau) <= k - 1
+    return _rank_at_most(double_center(Km), k - 1, tau)
 
 
 def kernel_embed(K, tau: float = 1e-10) -> np.ndarray:

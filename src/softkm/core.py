@@ -11,6 +11,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InvalidInput
 
@@ -115,8 +116,9 @@ class Solution:
     objective: float
 
     def __post_init__(self):
-        F, G = self.prototypes, self.membership
-        if F.ndim != 2 or G.ndim != 2 or F.shape[1] != G.shape[1]:
+        F = as_matrix(self.prototypes, "prototypes")
+        G = as_matrix(self.membership, "membership")
+        if F.shape[1] != G.shape[1]:
             raise InvalidInput("prototypes and membership must share the cluster axis")
         if not (np.isfinite(F).all() and np.isfinite(G).all()):
             raise InvalidInput("prototypes and membership must be finite")
@@ -126,8 +128,9 @@ class Solution:
             raise InvalidInput("membership rows must sum to one")
         if not (np.isfinite(self.objective) and self.objective >= 0.0):
             raise InvalidInput("objective must be a nonnegative finite number")
-        F.setflags(write=False)
-        G.setflags(write=False)
+        for name, a in (("prototypes", F), ("membership", G)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def k(self) -> int:
@@ -173,14 +176,20 @@ def double_center(K) -> np.ndarray:
     """H K H for the centering matrix H = I - ones ones^T / n, without
     materializing H: every row and column of the result sums to zero.
 
-    The row and column means are summed in different orders, so for a
-    symmetric K the centered matrix M is symmetric only up to round-off.
-    When K is exactly symmetric the result is the exactly symmetric
-    0.5 (M + M^T), which lets `numerical_rank` take its symmetric route.
+    An exactly symmetric K has equal row and column means, so its result
+    is built from the one row-mean vector r as (K - (r_i + r_j)) + mean(r);
+    floating-point addition is commutative, so M is exactly symmetric and
+    `numerical_rank` takes its symmetric route. Any other K subtracts its
+    row and column means separately.
     """
     K = np.asarray(K, dtype=float)
-    M = K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) + K.mean()
-    return 0.5 * (M + M.T) if _exactly_symmetric(K) else M
+    if not _exactly_symmetric(K):
+        return K - K.mean(axis=1, keepdims=True) - K.mean(axis=0, keepdims=True) + K.mean()
+    r = K.mean(axis=1)
+    M = r[:, None] + r[None, :]
+    np.subtract(K, M, out=M)
+    M += r.mean()
+    return M
 
 
 def _exactly_symmetric(A: np.ndarray) -> bool:
@@ -271,3 +280,50 @@ def numerical_rank(A, tau: float = 1e-10) -> int:
     if smax <= 0.0:
         return 0
     return int(np.count_nonzero(s > tau * smax))
+
+
+def _rank_at_most(A, r: int, tau: float) -> bool:
+    """Exactly `numerical_rank(A, tau) <= r`, mostly without computing it.
+
+    A rank at least min(p, q) needs no decomposition. Otherwise a range
+    finder (Halko, Martinsson & Tropp 2011) sketches A / max|A| in its tall
+    orientation T with a fixed-seed Gaussian test matrix of r + 11 columns:
+    Q = orth(T Omega), B = Q^T T. Two certificates then decide, each with a
+    slack of (p + q) eps ||T||_F for the round-off of this sketch and of
+    `numerical_rank` itself:
+
+    - rank > r when sigma_{r+1}(B) > tau ||T||_F, since interlacing gives
+      sigma_i(B) <= sigma_i(T) and sigma_1(T) <= ||T||_F;
+    - rank <= r when ||T - Q_r Q_r^T T||_F <= tau sigma_1(B), for Q_r the
+      leading r left singular vectors of B lifted by Q, since Weyl's
+      inequality bounds sigma_{r+1}(T) by that residual and
+      sigma_1(B) <= sigma_1(T).
+
+    When neither holds, or A is too small for the sketch to pay, the
+    answer is the exact `numerical_rank`, looked up in `softkm.audits`.
+    """
+    if not tau > 0:
+        raise InvalidInput("tau must be positive")
+    A = _finite_matrix(A)
+    n = min(A.shape)
+    if r >= n:
+        return True
+    s = r + 1 + 10  # ten columns of oversampling
+    if 2 * s < n:
+        amax = max(float(A.max()), -float(A.min()))
+        if amax == 0.0:
+            return True
+        T = (A if A.shape[0] >= A.shape[1] else A.T) / amax
+        Y = T @ np.random.default_rng(0).standard_normal((n, s))
+        Q = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
+        Ub, sb, Vbt = np.linalg.svd(Q.T @ T, full_matrices=False)
+        norm = float(np.linalg.norm(T))
+        slack = sum(A.shape) * np.finfo(float).eps * norm
+        if sb[r] > tau * norm + slack:
+            return False
+        T -= (Q @ Ub[:, :r]) @ (sb[:r, None] * Vbt[:r])
+        if float(np.linalg.norm(T)) + slack <= tau * sb[0]:
+            return True
+    from . import audits  # looked up per call, so a wrapper there sees every exact rank
+
+    return audits.numerical_rank(A, tau) <= r

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import softkm.audits
 from conftest import decomposable_instance, random_instance
 from softkm import (
     InvalidInput,
@@ -13,7 +14,9 @@ from softkm import (
     is_ti_lsdable,
     kernel_embed,
     nonuniqueness_gap,
+    numerical_rank,
     objective,
+    simplex_complement_basis,
     solve_global,
     stability_audit,
 )
@@ -82,6 +85,41 @@ class TestIsTiLsdable:
     def test_accepts_kernel_matrix(self):
         K = KernelMatrix(np.ones((4, 4)))
         assert is_ti_lsdable(K, 1)
+
+
+class TestRankPath:
+    """Which audits reach the exact numerical_rank: a certified sketch
+    decides clear cases, and only an answer at the threshold falls back."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        exact = softkm.audits.numerical_rank
+        monkeypatch.setattr(softkm.audits, "numerical_rank",
+                            lambda A, tau: calls.append(A.shape) or exact(A, tau))
+        return calls
+
+    def test_low_rank_kernel_needs_no_exact_rank(self, exact_calls):
+        Y = np.random.default_rng(8).standard_normal((5, 600)) + 1.0
+        K = Y.T @ Y  # H K H = (Y H)^T (Y H) has rank 5
+        assert is_ti_lsdable(K, 6)
+        assert not is_ti_lsdable(K, 5)
+        assert exact_calls == []
+
+    def test_rank_bound_at_feature_count_needs_no_decomposition(self, exact_calls):
+        X = random_instance(9, 30, 200)
+        assert is_skmable(X, 31)
+        assert exact_calls == []
+
+    def test_singular_value_at_threshold_falls_back_once(self, exact_calls):
+        # centered data whose fourth singular value is tau times the first
+        tau, n = 1e-10, 200
+        rng = np.random.default_rng(10)
+        U = np.linalg.qr(rng.standard_normal((40, 4)))[0]
+        V = simplex_complement_basis(n)[:, :4]  # columns orthogonal to ones
+        X = (U * np.array([1.0, 0.5, 0.25, tau])) @ V.T
+        assert is_skmable(X, 4, tau) == (numerical_rank(center(X).centered, tau) <= 3)
+        assert exact_calls == [(40, n)]
 
 
 class TestKernelMatrix:

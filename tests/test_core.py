@@ -12,7 +12,7 @@ from softkm import (
     simplex_complement_basis,
     truncated_svd,
 )
-from softkm.core import double_center
+from softkm.core import _rank_at_most, double_center
 
 
 def check_truncated_svd(A, m, sigma_rtol=1e-12):
@@ -95,6 +95,61 @@ class TestSolution:
     def test_non_finite_rejected(self, F, G):
         with pytest.raises(InvalidInput, match="finite"):
             Solution(F, G, 1.0)
+
+    def test_coerces_array_likes(self):
+        sol = Solution(np.eye(2), [[0.5, 0.5], [0.5, 0.5]], 1.0)
+        assert isinstance(sol.membership, np.ndarray) and sol.k == 2
+        np.testing.assert_array_equal(sol.membership, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            sol.membership[0, 0] = 1.0  # read-only like the prototypes
+
+    @pytest.mark.parametrize("F, G", [
+        (np.eye(2), [[0.5, 0.5], [1.0]]),
+        ("not numbers", np.full((2, 2), 0.5)),
+        (np.zeros((2, 2, 2)), np.full((2, 2), 0.5)),
+    ], ids=["ragged", "text", "3-d"])
+    def test_malformed_raises_invalid_input(self, F, G):
+        with pytest.raises(InvalidInput):
+            Solution(F, G, 1.0)
+
+
+def explicit_double_center(K):
+    n = K.shape[0]
+    H = np.eye(n) - np.full((n, n), 1.0 / n)
+    return H @ K @ H
+
+
+def symmetric_kernel(seed, n, r):
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((r, n)) + 1.0
+    K = Y.T @ Y
+    return 0.5 * (K + K.T)
+
+
+class TestDoubleCenter:
+    @pytest.mark.parametrize("seed,n", [(0, 1), (1, 5), (2, 40), (3, 301)])
+    def test_symmetric_kernel_gives_exactly_symmetric_result(self, seed, n):
+        M = double_center(symmetric_kernel(seed, n, 4))
+        assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("seed,n", [(4, 6), (5, 50), (6, 200)])
+    def test_matches_explicit_hkh(self, seed, n, symmetric):
+        K = symmetric_kernel(seed, n, 3)
+        if not symmetric:
+            K = K + np.random.default_rng(seed).standard_normal((n, n))
+        M = double_center(K)
+        assert np.abs(M - explicit_double_center(K)).max() <= 1e-14 * np.abs(K).max()
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_rows_and_columns_sum_to_zero(self, symmetric):
+        K = symmetric_kernel(7, 120, 5)
+        if not symmetric:
+            K = K + np.triu(K)
+        M = double_center(K)
+        tol = 1e-13 * np.abs(K).max() * K.shape[0]
+        assert np.abs(M.sum(axis=0)).max() <= tol
+        assert np.abs(M.sum(axis=1)).max() <= tol
 
 
 class TestSimplexComplementBasis:
@@ -280,6 +335,55 @@ class TestNumericalRank:
             numerical_rank(A)
         with pytest.raises(InvalidInput):
             numerical_rank(random_instance(59, 3, 5) * np.array([1.0, bad, 1.0, 1.0, 1.0]))
+
+
+def spectrum_instance(kind, r, level, seed):
+    """A matrix with singular values (1 ... 0.05 in r steps, level, level / 3)
+    and zeros beyond; "symmetric" alternates the eigenvalue signs."""
+    rng = np.random.default_rng(seed)
+    p, q = {"wide": (40, 120), "tall": (120, 40), "square": (70, 70), "symmetric": (70, 70)}[kind]
+    sigma = np.concatenate([np.geomspace(1.0, 0.05, r), [level, level / 3]])
+    U = np.linalg.qr(rng.standard_normal((p, r + 2)))[0]
+    if kind == "symmetric":
+        S = (U * (sigma * (-1.0) ** np.arange(r + 2))) @ U.T
+        return 0.5 * (S + S.T)
+    return (U * sigma) @ np.linalg.qr(rng.standard_normal((q, r + 2)))[0].T
+
+
+class TestRankAtMost:
+    """_rank_at_most(A, r, tau) answers numerical_rank(A, tau) <= r exactly."""
+
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    @pytest.mark.parametrize("kind", ["wide", "tall", "square", "symmetric"])
+    def test_agrees_with_numerical_rank(self, kind, r):
+        disagree = []
+        for tau in (1e-14, 1e-10, 1e-6):
+            for level in (0.0, tau / 4, tau, 4 * tau, 1e-6):
+                base = spectrum_instance(kind, r, level, seed=r)
+                for scale in (1e-200, 1.0, 1e150):
+                    A = scale * base
+                    got = _rank_at_most(A, r, tau)
+                    if got != (numerical_rank(A, tau) <= r):
+                        disagree.append((tau, level, scale, got))
+        assert disagree == []
+
+    def test_zero_matrix(self):
+        for shape in ((40, 120), (70, 70), (3, 5)):
+            for r in (0, 2):
+                assert _rank_at_most(np.zeros(shape), r, 1e-10)
+
+    def test_deterministic_and_leaves_global_rng_alone(self):
+        A = spectrum_instance("wide", 3, 4e-10, seed=11)
+        before = np.random.get_state()
+        answers = {_rank_at_most(A, 3, 1e-10) for _ in range(2)}
+        after = np.random.get_state()
+        assert answers == {False}
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+
+    def test_bad_tau(self):
+        with pytest.raises(InvalidInput):
+            _rank_at_most(np.eye(40), 50, 0.0)
 
 
 @settings(max_examples=50, deadline=None)

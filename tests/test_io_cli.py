@@ -365,6 +365,19 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == "true\nnumerical_rank=0\n"
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_check_tilsdable_kernel_agrees_with_audit(self, tmp_path, capsys, k):
+        # large enough that is_ti_lsdable decides from its sketch
+        Y = np.random.default_rng(5).standard_normal((3, 60)) + 1.0
+        K = Y.T @ Y
+        K = 0.5 * (K + K.T)
+        inp = tmp_path / "kernel.csv"
+        np.savetxt(inp, K, fmt="%.17g", delimiter=",")
+        assert main(["check-tilsdable", "--input", str(inp), "--k", str(k), "--kernel"]) == 0
+        verdict = capsys.readouterr().out.splitlines()[0]
+        assert verdict == ("true" if is_ti_lsdable(K, k) else "false")
+        assert verdict == ("true" if k == 4 else "false")
+
     def test_check_tilsdable_kernel_not_square(self, tmp_path, capsys):
         inp = write(tmp_path / "in.csv", "1,2\n3,4\n5,6\n")
         code = main(["check-tilsdable", "--input", inp, "--k", "1", "--kernel"])
