@@ -47,7 +47,10 @@ class DataMatrix:
     """A d x n sample matrix together with its mean and centered view.
 
     Satisfies values = centered + mean * ones^T up to round-off, and every
-    row of `centered` sums to zero.
+    row of `centered` sums to zero. All three arrays are read-only. The
+    bundle from `center` owns a copy of the data; the solvers and audits
+    that take raw data instead center a read-only view of C-contiguous
+    input, and that bundle never outlives the call.
     """
 
     values: np.ndarray
@@ -161,14 +164,34 @@ def center(X) -> DataMatrix:
     Returns
     -------
     DataMatrix
-        Immutable bundle of (values, mean, centered).
+        Immutable bundle of (values, mean, centered). `values` is a copy of
+        X, so the bundle is independent of the caller's array. The solvers
+        and audits skip that copy: they center a read-only view of
+        C-contiguous input, which never outlives the call.
     """
     if isinstance(X, DataMatrix):
         return X
-    A = _finite_matrix(X, "data matrix").copy()
+    return _center_view(as_matrix(X, "data matrix").copy())
+
+
+def _center_view(X) -> DataMatrix:
+    """`center` without the copy: the bundle keeps a read-only view of X
+    when X is a C-contiguous float array, and a C-ordered copy otherwise.
+
+    The row means come from the C layout either way, so they match
+    `center(X)` bit for bit. A finite mean has only finite terms, so the
+    full finiteness pass runs only when some mean is not finite; finite
+    rows whose sum overflows still pass.
+    """
+    if isinstance(X, DataMatrix):
+        return X
+    A = np.ascontiguousarray(as_matrix(X, "data matrix")).view()
     if A.size == 0:
         raise InvalidInput("data matrix is empty")
-    mean = A.mean(axis=1)
+    with np.errstate(invalid="ignore"):  # only inf - inf, which is rejected below
+        mean = A.mean(axis=1)
+    if not np.isfinite(mean).all():
+        _finite_matrix(A, "data matrix")
     return DataMatrix(values=A, mean=mean, centered=A - mean[:, None])
 
 
@@ -192,8 +215,20 @@ def double_center(K) -> np.ndarray:
     return M
 
 
+_SYMMETRY_TILE = 256  # a tile and its mirror, 2 x 512 KB of float64, fit in a typical L2 cache
+
+
 def _exactly_symmetric(A: np.ndarray) -> bool:
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(np.array_equal(A, A.T))
+    """Exactly `np.array_equal(A, A.T)`, compared tile by tile so that the
+    transposed reads stay in cache, and stopping at the first mismatch."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return False
+    t, n = _SYMMETRY_TILE, A.shape[0]
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(A[i:i + t, j:j + t], A[j:j + t, i:i + t].T):
+                return False
+    return True
 
 
 def _finite_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -240,11 +275,15 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (U, sigma, V) : U is p x m, sigma descending of length m, V is q x m,
         with A ~= U @ diag(sigma) @ V.T in the rank-m sense.
     """
-    A = _finite_matrix(A)
+    A = as_matrix(A)
     p, q = A.shape
     check_k(m, 1, min(p, q), "truncation m")
     short = A if p <= q else A.T
-    Q = np.linalg.eigh(short @ short.T)[1][:, -m:]
+    with np.errstate(invalid="ignore"):  # only inf - inf or inf * 0, rejected below
+        gram = short @ short.T
+    if not np.isfinite(np.trace(gram)):  # the trace sums every a_ij^2
+        _finite_matrix(A)
+    Q = np.linalg.eigh(gram)[1][:, -m:]
     Ub, s, Vt = np.linalg.svd(Q.T @ short, full_matrices=False)
     U, V = Q @ Ub, Vt.T.copy()
     if p > q:

@@ -17,8 +17,9 @@ from .core import (
     DataMatrix,
     GlobalFactors,
     Solution,
+    _center_view,
     as_matrix,
-    center,
+    center,  # noqa: F401  (an attribute bench/harness.py wraps)
     check_k,
     simplex_complement_basis,
     truncated_svd,
@@ -55,7 +56,11 @@ class RotationMatrix:
 
 
 def objective(X, F, G) -> float:
-    """Squared Frobenius reconstruction error ||X - F G^T||_F^2."""
+    """Squared Frobenius reconstruction error ||X - F G^T||_F^2.
+
+    The residual is formed in one d x n buffer: F G^T is overwritten by
+    X - F G^T and then squared in place before the sum.
+    """
     A = X.values if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
     F = as_matrix(F, "prototypes")
     G = as_matrix(G, "membership")
@@ -65,8 +70,10 @@ def objective(X, F, G) -> float:
             f"shape mismatch: X is {d}x{n}, F is {F.shape[0]}x{F.shape[1]}, "
             f"G is {G.shape[0]}x{G.shape[1]}"
         )
-    R = A - F @ G.T
-    return float(np.sum(R * R))
+    R = F @ G.T
+    np.subtract(A, R, out=R)
+    np.multiply(R, R, out=R)
+    return float(R.sum())
 
 
 def infinity_bound(k: int) -> float:
@@ -81,7 +88,9 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     Parameters
     ----------
     X : DataMatrix or array_like
-        Feature-by-sample data; raw arrays are centered internally.
+        Feature-by-sample data; raw arrays are centered internally, through
+        a read-only view when they are C-contiguous, and no result keeps a
+        reference to X.
     k : int
         Number of prototypes. Requires k >= 1 and k - 1 <= min(d, n).
 
@@ -99,7 +108,7 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     Data with all samples identical yields the mean prototype replicated
     and a uniform membership.
     """
-    X = center(X)
+    X = _center_view(X)
     d, n = X.d, X.n
     check_k(k, 1, min(d, n) + 1)
     if k == 1:

@@ -131,6 +131,16 @@ class TestKernelMatrix:
         with pytest.raises(InvalidInput):
             KernelMatrix(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("rel, ok", [(1e-12, True), (1e-8, False)])
+    def test_symmetry_tolerance(self, rel, ok):
+        K = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 1.0]])
+        K[0, 1] += rel * np.linalg.norm(K)
+        if ok:
+            assert np.array_equal(KernelMatrix(K).K, K)
+        else:
+            with pytest.raises(InvalidInput, match="not symmetric"):
+                KernelMatrix(K)
+
     def test_symmetrizes_nothing(self):
         K = KernelMatrix(np.eye(3))
         assert K.n == 3

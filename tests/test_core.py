@@ -12,7 +12,7 @@ from softkm import (
     simplex_complement_basis,
     truncated_svd,
 )
-from softkm.core import _rank_at_most, double_center
+from softkm.core import _SYMMETRY_TILE, _exactly_symmetric, _rank_at_most, double_center
 
 
 def check_truncated_svd(A, m, sigma_rtol=1e-12):
@@ -150,6 +150,32 @@ class TestDoubleCenter:
         tol = 1e-13 * np.abs(K).max() * K.shape[0]
         assert np.abs(M.sum(axis=0)).max() <= tol
         assert np.abs(M.sum(axis=1)).max() <= tol
+
+
+class TestExactlySymmetric:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_agrees_with_array_equal_in_every_tile(self, n):
+        K = symmetric_kernel(n, n, 3)
+        assert _exactly_symmetric(K) and np.array_equal(K, K.T)
+        t = _SYMMETRY_TILE
+        starts = range(0, n, t)
+        # one entry in each tile: the diagonal tiles, the ones above and
+        # below it, and the last partial row and column of tiles
+        for i0 in starts:
+            for j0 in starts:
+                i, j = min(i0 + 1, n - 1), min(j0 + t // 2, n - 1)
+                if i == j:  # a 1 x 1 diagonal tile has no off-diagonal entry
+                    continue
+                A = K.copy()
+                A[i, j] += 1.0
+                assert not _exactly_symmetric(A) and not np.array_equal(A, A.T)
+        A = K.copy()
+        A[n - 1, 0] = np.nan
+        assert not _exactly_symmetric(A) and not np.array_equal(A, A.T)
+
+    def test_non_square_is_not_symmetric(self):
+        assert not _exactly_symmetric(np.zeros((3, 4)))
+        assert not _exactly_symmetric(np.zeros(3))
 
 
 class TestSimplexComplementBasis:
