@@ -2,7 +2,7 @@
 shared with the minimal-volume solver, and the AM baseline built on it.
 
 The engine alternates the exact prototype update F (G^T G + T) = A G, for a
-k x k term T, with warm-started membership solves, and stops on one
+k x k term T, with exact membership solves, and stops on one
 scale-free rule: |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2).
 AM takes T = RIDGE * trace(G^T G)/k * I and converges to a stationary point
 only; the closed-form solver gives the global reference.

@@ -142,8 +142,8 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
     the minimizer of the tangent majorizer of L at the current F: the log
     term carries lam/2 in L, so its linearization tr(D F^T F) must carry
     lam/2 as well or the step can overshoot and the trace loses
-    monotonicity. G is then refreshed with warm-started membership solves,
-    so the trace of L(F, G) values never increases (within round-off).
+    monotonicity. G is then refreshed by exact membership solves, so the
+    trace of L(F, G) values never increases (within round-off).
     The loop is the engine shared with solve_am, run on the centered data;
     it stops when |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2),
     a rule that keeps its meaning for negative L and at any data scale.

@@ -322,6 +322,17 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_membership_solve_exits_3(self, tmp_path, capsys):
+        # k = 9 on two features is past the enumeration bound; data near the
+        # top of the float range must end in a numerical failure, not a traceback
+        X = np.random.default_rng(0).standard_normal((40, 2)) * 1e307
+        inp = tmp_path / "big.csv"
+        np.savetxt(inp, X, delimiter=",", fmt="%.17g")
+        code = main(["solve-am", "--input", str(inp), "--k", "9", "--max-iters", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "numerical failure: " in capsys.readouterr().err
+
     def test_check_skmable_true(self, tmp_path, capsys):
         t = np.linspace(0, 1, 8)
         rows = "\n".join(f"{a},{b}" for a, b in zip(1 + 2 * t, -0.5 * t))

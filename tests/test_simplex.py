@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softkm import InvalidInput, center, project_simplex, solve_membership
+from softkm import InvalidInput, NumericalFailure, center, project_simplex, solve_membership
 from softkm import simplex as simplex_module
 
 
@@ -38,16 +38,22 @@ def solve_one(F, x, g0=None):
     return solve_membership(F, np.reshape(x, (-1, 1)), warm=warm)[0]
 
 
-def on_pgd_path(d, k):
-    """Whether solve_membership sends a d x k prototype matrix to PGD."""
-    return simplex_module._face_count(d, k) > simplex_module.MAX_FACES
+def enumerated(d, k):
+    """Whether solve_membership solves a d x k prototype matrix by face
+    enumeration rather than NNLS."""
+    return simplex_module._face_count(d, k) <= simplex_module.MAX_FACES
+
+
+def kkt_residuals(F, X, G):
+    """Per-sample ||g - P(g - grad / L)|| at the Lipschitz step
+    L = sigma_max(F)^2; zero exactly at the minimizer."""
+    L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
+    step = G - (G @ F.T - X.T) @ F / L
+    return np.linalg.norm(G - simplex_module._project_rows(step), axis=1)
 
 
 def kkt_residual(F, x, g):
-    """||g - P(g - grad / L)|| at the Lipschitz step L = sigma_max(F)^2;
-    zero exactly at the minimizer."""
-    L = float(np.linalg.svd(F, compute_uv=False)[0] ** 2)
-    return float(np.linalg.norm(g - project_simplex(g - F.T @ (F @ g - x) / L)))
+    return float(kkt_residuals(F, np.reshape(x, (-1, 1)), np.reshape(g, (1, -1)))[0])
 
 
 def closed_form_interior(F, x):
@@ -185,15 +191,20 @@ class TestSolveSimplexLs:
         assert hits >= 10
 
     def test_kkt_residual_at_return(self):
-        # shapes above MAX_FACES, so the projected gradient answers
+        # shapes above MAX_FACES, so NNLS answers
         rng = np.random.default_rng(40)
         for _ in range(30):
             d, k = int(rng.integers(4, 7)), int(rng.integers(9, 12))
-            assert on_pgd_path(d, k)
+            assert not enumerated(d, k)
             F = rng.normal(size=(d, k))
             x = rng.normal(size=d) * 2.0
             g = solve_one(F, x)
-            assert kkt_residual(F, x, g) <= 1e-9
+            assert kkt_residual(F, x, g) <= 1e-12
+        # a whole membership step from random data columns, the solvers' start
+        X = rng.normal(size=(3, 2000))
+        F = X[:, rng.choice(2000, size=10, replace=False)]
+        assert not enumerated(3, 10)
+        assert kkt_residuals(F, X, solve_membership(F, X)).max() <= 1e-12
 
     def test_vertex_domination(self):
         # the solution never loses to any vertex of the simplex
@@ -205,24 +216,11 @@ class TestSolveSimplexLs:
             best_vertex = min(np.linalg.norm(x - F[:, j]) for j in range(4))
             assert np.linalg.norm(x - F @ g) <= best_vertex + 1e-9
 
-    def test_monotone_descent_with_acceleration(self, monkeypatch):
-        F = np.random.default_rng(52).normal(size=(4, 9))
-        assert on_pgd_path(4, 9)
-        x = np.random.default_rng(53).normal(size=4) * 3.0
-        monkeypatch.setattr(simplex_module, "KKT_TOL", 1e-16)
-        objs = []
-        for iters in range(1, 40):
-            monkeypatch.setattr(simplex_module, "MAX_ITERS", iters)
-            g = solve_one(F, x)
-            objs.append(float(np.sum((x - F @ g) ** 2)))
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-
-    def test_warm_start_never_worse(self, monkeypatch):
-        # (3, 4) is solved by face enumeration, (4, 9) by three PGD steps
+    def test_warm_start_never_worse(self):
+        # (3, 4) is solved by face enumeration, (4, 9) by NNLS
         rng = np.random.default_rng(60)
-        monkeypatch.setattr(simplex_module, "MAX_ITERS", 3)
         for d, k in ((3, 4), (4, 9)):
-            assert on_pgd_path(d, k) == (k == 9)
+            assert enumerated(d, k) == (k == 4)
             F = rng.normal(size=(d, k))
             X = rng.normal(size=(d, 20))
             G0 = rng.dirichlet(np.ones(k), size=20)
@@ -256,8 +254,7 @@ class TestSolveMembership:
         assert G.shape == (25, 3)
         assert G.min() >= 0.0
         np.testing.assert_allclose(G.sum(axis=1), 1.0, atol=1e-12)
-        # per-row solves agree with the batch (on the PGD path only up to
-        # its tolerance, since the batch steps until every row passes)
+        # per-row solves agree with the batch
         for i in (0, 7, 24):
             np.testing.assert_allclose(G[i], solve_one(F, X[:, i]), atol=1e-6)
 
@@ -275,9 +272,9 @@ class TestSolveMembership:
             solve_membership(rng.normal(size=(2, 3)), rng.normal(size=(2, 5)),
                              warm=np.ones((4, 3)) / 3)
 
-    @pytest.mark.parametrize("d, k, pgd", [(2, 3, False), (9, 9, True)], ids=["exact", "pgd"])
-    def test_non_finite_warm_start_rejected(self, d, k, pgd):
-        assert on_pgd_path(d, k) == pgd
+    @pytest.mark.parametrize("d, k, nnls", [(2, 3, False), (9, 9, True)], ids=["exact", "nnls"])
+    def test_non_finite_warm_start_rejected(self, d, k, nnls):
+        assert enumerated(d, k) != nnls
         rng = np.random.default_rng(75)
         warm = np.full((5, k), 1.0 / k)
         warm[2, 0] = np.nan
@@ -308,37 +305,37 @@ def exact_path_case(rng, d, k, kind):
 class TestExactPath:
     @pytest.mark.parametrize("kind", ["random", "duplicate", "collapsed",
                                       "scaled_down", "scaled_up"])
-    @pytest.mark.parametrize("k", range(2, 8))
-    def test_matches_tight_pgd_reference(self, monkeypatch, k, kind):
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_matches_tight_pgd_reference(self, k, kind):
+        # each exact path is checked against the other: NNLS where
+        # solve_membership enumerates faces, forced enumeration where it runs
+        # NNLS (k >= 8 at d <= 3, where the face count stays small)
         rng = np.random.default_rng(100 * k + len(kind))
-        for d in (1, 2, 3, k + 2):
-            assert not on_pgd_path(d, k)
+        for d in (1, 2, 3, k + 2) if k <= 7 else (1, 2, 3):
             F, X = exact_path_case(rng, d, k, kind)
             G = solve_membership(F, X)
-            with monkeypatch.context() as mp:
-                mp.setattr(simplex_module, "KKT_TOL", 1e-14)
-                mp.setattr(simplex_module, "MAX_ITERS", 20000)
-                G_ref = simplex_module._pgd_rows(F, X.T)
+            oracle = simplex_module._nnls_rows if enumerated(d, k) else simplex_module._exact_rows
+            G_ref = oracle(F, X.T)
             assert G.min() >= 0.0
             np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
             obj = np.sum((X - F @ G.T) ** 2, axis=0)
             ref = np.sum((X - F @ G_ref.T) ** 2, axis=0)
             scale = ref + np.sum(X * X, axis=0)
-            assert np.all(obj <= ref + 1e-12 * scale), (d, obj - ref)
+            assert np.all(np.abs(obj - ref) <= 1e-12 * scale), (d, obj - ref)
             for i in range(X.shape[1]):
                 assert kkt_residual(F, X[:, i], G[i]) <= 1e-12, (d, i)
 
     def test_dispatch(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise RuntimeError("projected gradient reached")
+            raise RuntimeError("NNLS reached")
 
-        monkeypatch.setattr(simplex_module, "_pgd_rows", refuse)
+        monkeypatch.setattr(simplex_module, "_nnls_rows", refuse)
         rng = np.random.default_rng(90)
         for k in range(1, 8):
             for d in (1, 3, 10, 40):
                 G = solve_membership(rng.normal(size=(d, k)), rng.normal(size=(d, 5)))
                 assert G.shape == (5, k)
-        with pytest.raises(RuntimeError, match="projected gradient reached"):
+        with pytest.raises(RuntimeError, match="NNLS reached"):
             solve_membership(rng.normal(size=(10, 9)), rng.normal(size=(10, 5)))
 
     def test_optimal_warm_rows_kept(self):
@@ -353,3 +350,43 @@ class TestExactPath:
         F, x = np.array([[0.0, 1.0]]), np.array([[3.0]])
         for warm in ([[-2.0, 3.0]], [[0.0, 3.0]]):
             np.testing.assert_array_equal(solve_membership(F, x, warm=warm), [[0.0, 1.0]])
+
+
+class TestNnlsPath:
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(93)
+        F, X = rng.normal(size=(3, 10)), rng.normal(size=(3, 300))
+        assert not enumerated(3, 10)
+        G = solve_membership(F, X)
+        for block in (1, 7):
+            monkeypatch.setattr(simplex_module, "_NNLS_BLOCK", block)
+            np.testing.assert_array_equal(solve_membership(F, X), G)
+
+    @pytest.mark.parametrize("scale", [1e307, 1e-310])
+    def test_extreme_scales_feasible(self, scale):
+        rng = np.random.default_rng(94)
+        F, X = rng.normal(size=(2, 9)) * scale, rng.normal(size=(2, 20)) * scale
+        assert not enumerated(2, 9)
+        G = solve_membership(F, X)
+        assert np.isfinite(G).all() and G.min() >= 0.0
+        np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def test_overflowing_system_is_numerical_failure(self):
+        F = np.random.default_rng(95).normal(size=(2, 9))
+        F[0, 0] = 1.7e308
+        with pytest.raises(NumericalFailure, match="overflow"):
+            solve_one(F, np.array([-1.7e308, 0.0]))
+
+    def test_nnls_error_is_numerical_failure(self, monkeypatch):
+        def exhausted(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(simplex_module, "nnls", exhausted)
+        rng = np.random.default_rng(96)
+        with pytest.raises(NumericalFailure, match="NNLS failed on row 0"):
+            solve_membership(rng.normal(size=(2, 9)), rng.normal(size=(2, 4)))
+
+    def test_sample_on_collapsed_prototypes(self):
+        # every prototype equals the sample, so any membership is optimal
+        G = solve_one(np.ones((2, 9)), np.ones(2))
+        assert G.min() >= 0.0 and abs(G.sum() - 1.0) <= 1e-15
