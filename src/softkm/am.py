@@ -43,7 +43,6 @@ _FIELD_CHECKS = {
     "input_path": _PATH,
     "output_dir": _PATH,
     "k": _POSITIVE_INT,
-    "max_iters": _POSITIVE_INT,
     "max_outer_iters": _POSITIVE_INT,
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
@@ -95,14 +94,18 @@ def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
     return F.copy()
 
 
-def _alternate(A, F, gram_term, loss, opts, energy):
+def _alternate(A, F, gram_term, loss, opts, Xc):
     """Alternate F-updates and membership solves on the d x n data A from
     the d x k start F. gram_term(F, GtG) is the k x k term added to G^T G,
     loss(F, G) the objective; opts, an AmOptions, gives max_outer_iters and
-    rel_obj_tol, and energy = ||Xc||_F^2 floors the stop rule so that it is
-    scale-free.
+    rel_obj_tol, and the energy ||Xc||_F^2 of the centered data floors the
+    stop rule so that it is scale-free; an infinite one would pass it.
     Returns (F, G, trace), trace[0] taken after the initial membership solve.
     """
+    with np.errstate(over="ignore"):  # an infinite energy is rejected below
+        energy = float(np.sum(Xc * Xc))
+    if not np.isfinite(energy):
+        raise NumericalFailure("data energy ||Xc||_F^2 overflows")
     G = solve_membership(F, A)
     trace = [loss(F, G)]
     for _ in range(opts.max_outer_iters):
@@ -154,6 +157,6 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
         lambda F, GtG: RIDGE * np.trace(GtG) / k * np.eye(k),
         lambda F, G: objective(X, F, G),
         opts,
-        float(np.sum(X.centered * X.centered)),
+        X.centered,
     )
     return Solution(F, G, trace[-1]), trace

@@ -11,17 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
+    RANK_TAU,
     _center_view,
     _exactly_symmetric,
     _finite_matrix,
-    _rank_at_most,
     as_matrix,
     center,  # noqa: F401  (an attribute bench/harness.py wraps)
     check_k,
     double_center,
-    numerical_rank,  # the exact rank _rank_at_most falls back to
+    numerical_rank,
 )
 from .errors import InvalidInput, NotPositiveSemidefinite
 from .global_solver import objective, rotate_solution, solve_global
@@ -82,7 +83,51 @@ def _as_kernel(K) -> np.ndarray:
     return KernelMatrix(K).K
 
 
-def is_skmable(X, k: int, tau: float = 1e-10) -> bool:
+def _rank_at_most(A, r: int, tau: float) -> bool:
+    """Exactly `numerical_rank(A, tau) <= r`, mostly without computing it.
+
+    A rank at least min(p, q) needs no decomposition. Otherwise a range
+    finder (Halko, Martinsson & Tropp 2011) sketches A / max|A| in its tall
+    orientation T with a fixed-seed Gaussian test matrix of r + 11 columns:
+    Q = orth(T Omega), B = Q^T T. Two certificates then decide, each with a
+    slack of (p + q) eps ||T||_F for the round-off of this sketch and of
+    `numerical_rank` itself:
+
+    - rank > r when sigma_{r+1}(B) > tau ||T||_F, since interlacing gives
+      sigma_i(B) <= sigma_i(T) and sigma_1(T) <= ||T||_F;
+    - rank <= r when ||T - Q_r Q_r^T T||_F <= tau sigma_1(B), for Q_r the
+      leading r left singular vectors of B lifted by Q, since Weyl's
+      inequality bounds sigma_{r+1}(T) by that residual and
+      sigma_1(B) <= sigma_1(T).
+
+    When neither holds, or A is too small for the sketch to pay, the
+    answer is the exact `numerical_rank`. max|A| also finds a non-finite A.
+    """
+    if not tau > 0:
+        raise InvalidInput("tau must be positive")
+    A = as_matrix(A)
+    amax = max(float(A.max()), -float(A.min()))
+    if not np.isfinite(amax):  # a NaN or an infinity anywhere in A
+        _finite_matrix(A)
+    n, s = min(A.shape), r + 1 + 10  # ten columns of oversampling
+    if r >= n or amax == 0.0:
+        return True
+    if 2 * s < n:
+        T = (A if A.shape[0] >= A.shape[1] else A.T) / amax
+        Y = T @ np.random.default_rng(0).standard_normal((n, s))
+        Q = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
+        Ub, sb, Vbt = np.linalg.svd(Q.T @ T, full_matrices=False)
+        norm = float(np.linalg.norm(T))
+        slack = sum(A.shape) * np.finfo(float).eps * norm
+        if sb[r] > tau * norm + slack:
+            return False
+        T -= (Q @ Ub[:, :r]) @ (sb[:r, None] * Vbt[:r])
+        if float(np.linalg.norm(T)) + slack <= tau * sb[0]:
+            return True
+    return numerical_rank(A, tau) <= r
+
+
+def is_skmable(X, k: int, tau: float = RANK_TAU) -> bool:
     """Whether X admits an exact k-prototype factorization: the centered
     data must have numerical rank at most k - 1.
 
@@ -95,7 +140,7 @@ def is_skmable(X, k: int, tau: float = 1e-10) -> bool:
     return _rank_at_most(X.centered, k - 1, tau)
 
 
-def is_ti_lsdable(K, k: int, tau: float = 1e-10) -> bool:
+def is_ti_lsdable(K, k: int, tau: float = RANK_TAU) -> bool:
     """Kernel-side decomposability: the doubly centered kernel H K H must
     have numerical rank at most k - 1.
 
@@ -107,7 +152,7 @@ def is_ti_lsdable(K, k: int, tau: float = 1e-10) -> bool:
     return _rank_at_most(double_center(Km), k - 1, tau)
 
 
-def kernel_embed(K, tau: float = 1e-10) -> np.ndarray:
+def kernel_embed(K, tau: float = RANK_TAU) -> np.ndarray:
     """Factor a positive semidefinite kernel as K = X^T X.
 
     Eigenvalues below -tau times the largest raise NotPositiveSemidefinite;

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .audits import KernelMatrix
-from .core import check_k, double_center, numerical_rank
+from .core import RANK_TAU, check_k, double_center, numerical_rank
 from .errors import InvalidInput, NumericalFailure, SoftKMError
 from .io import (
     RunConfig,
@@ -42,7 +42,7 @@ def _add_solver_parser(sub, name: str, blurb: str):
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", dest="rel_obj_tol", type=float,
                    help="relative objective tolerance for iterative solvers")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--max-iters", dest="max_outer_iters", type=int)
     p.add_argument("--out", dest="output_dir", required=True, help="output directory")
     return p
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--tau", type=float, default=1e-10)
+        p.add_argument("--tau", type=float, default=RANK_TAU)
         if name == "check-tilsdable":
             p.add_argument("--kernel", action="store_true",
                            help="treat the input as an n x n kernel instead of data")
@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
 # bench spec key -> RunConfig field; absent keys keep RunConfig's defaults,
 # and RunConfig checks every value
 _SPEC_KEYS = {"solver": "solver", "k": "k", "lambda": "lam", "seed": "seed",
-              "epsilon": "epsilon", "tol": "rel_obj_tol", "max_iters": "max_iters"}
+              "epsilon": "epsilon", "tol": "rel_obj_tol", "max_iters": "max_outer_iters"}
 
 
 def _expand_bench_spec(spec: dict) -> tuple[list[RunConfig], str]:

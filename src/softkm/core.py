@@ -11,9 +11,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 
 __all__ = [
     "DataMatrix",
@@ -27,6 +26,8 @@ __all__ = [
     "truncated_svd",
     "numerical_rank",
 ]
+
+RANK_TAU = 1e-10  # relative threshold of every rank decision and of kernel_embed
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -265,7 +266,7 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     round-off and ||A - U diag(sigma) V^T||_F^2 misses the tail energy
     sum_{i>m} sigma_i^2 by at most about m eps ||A||_F^2 whatever the
     spectral gaps. Singular values below about sqrt(eps) sigma_1 are not
-    resolved; use `numerical_rank` for rank decisions.
+    resolved (use `numerical_rank`); a Gram overflow raises NumericalFailure.
 
     Each column of U is flipped, together with its partner in V, so that its
     largest-magnitude entry is positive. Ties resolve to the first index.
@@ -279,10 +280,11 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, q = A.shape
     check_k(m, 1, min(p, q), "truncation m")
     short = A if p <= q else A.T
-    with np.errstate(invalid="ignore"):  # only inf - inf or inf * 0, rejected below
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values, rejected below
         gram = short @ short.T
-    if not np.isfinite(np.trace(gram)):  # the trace sums every a_ij^2
+    if not np.isfinite(gram).all():  # a non-finite a_ij makes g_ii non-finite
         _finite_matrix(A)
+        raise NumericalFailure("Gram matrix of finite data overflows")
     Q = np.linalg.eigh(gram)[1][:, -m:]
     Ub, s, Vt = np.linalg.svd(Q.T @ short, full_matrices=False)
     U, V = Q @ Ub, Vt.T.copy()
@@ -296,7 +298,7 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, s, V
 
 
-def numerical_rank(A, tau: float = 1e-10) -> int:
+def numerical_rank(A, tau: float = RANK_TAU) -> int:
     """Number of singular values above tau times the largest one.
 
     The zero matrix has rank 0; the threshold is relative, so the result is
@@ -305,7 +307,7 @@ def numerical_rank(A, tau: float = 1e-10) -> int:
     An exactly symmetric A takes sigma = |eigvalsh(A)|; any other A takes
     the values-only SVD of its tall orientation (A, or A^T when p < q),
     which LAPACK reduces by QR first. The rank never goes through a Gram
-    matrix: squaring maps the default tau = 1e-10 to 1e-20 on its
+    matrix: squaring maps the default tau = RANK_TAU to RANK_TAU^2 on its
     eigenvalues, below the round-off of an eigensolver.
     """
     if not tau > 0:
@@ -319,50 +321,3 @@ def numerical_rank(A, tau: float = 1e-10) -> int:
     if smax <= 0.0:
         return 0
     return int(np.count_nonzero(s > tau * smax))
-
-
-def _rank_at_most(A, r: int, tau: float) -> bool:
-    """Exactly `numerical_rank(A, tau) <= r`, mostly without computing it.
-
-    A rank at least min(p, q) needs no decomposition. Otherwise a range
-    finder (Halko, Martinsson & Tropp 2011) sketches A / max|A| in its tall
-    orientation T with a fixed-seed Gaussian test matrix of r + 11 columns:
-    Q = orth(T Omega), B = Q^T T. Two certificates then decide, each with a
-    slack of (p + q) eps ||T||_F for the round-off of this sketch and of
-    `numerical_rank` itself:
-
-    - rank > r when sigma_{r+1}(B) > tau ||T||_F, since interlacing gives
-      sigma_i(B) <= sigma_i(T) and sigma_1(T) <= ||T||_F;
-    - rank <= r when ||T - Q_r Q_r^T T||_F <= tau sigma_1(B), for Q_r the
-      leading r left singular vectors of B lifted by Q, since Weyl's
-      inequality bounds sigma_{r+1}(T) by that residual and
-      sigma_1(B) <= sigma_1(T).
-
-    When neither holds, or A is too small for the sketch to pay, the
-    answer is the exact `numerical_rank`, looked up in `softkm.audits`.
-    """
-    if not tau > 0:
-        raise InvalidInput("tau must be positive")
-    A = _finite_matrix(A)
-    n = min(A.shape)
-    if r >= n:
-        return True
-    s = r + 1 + 10  # ten columns of oversampling
-    if 2 * s < n:
-        amax = max(float(A.max()), -float(A.min()))
-        if amax == 0.0:
-            return True
-        T = (A if A.shape[0] >= A.shape[1] else A.T) / amax
-        Y = T @ np.random.default_rng(0).standard_normal((n, s))
-        Q = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
-        Ub, sb, Vbt = np.linalg.svd(Q.T @ T, full_matrices=False)
-        norm = float(np.linalg.norm(T))
-        slack = sum(A.shape) * np.finfo(float).eps * norm
-        if sb[r] > tau * norm + slack:
-            return False
-        T -= (Q @ Ub[:, :r]) @ (sb[:r, None] * Vbt[:r])
-        if float(np.linalg.norm(T)) + slack <= tau * sb[0]:
-            return True
-    from . import audits  # looked up per call, so a wrapper there sees every exact rank
-
-    return audits.numerical_rank(A, tau) <= r

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class RunConfig:
     epsilon: float = MvskmOptions.epsilon
     seed: int = AmOptions.seed
     rel_obj_tol: float = AmOptions.rel_obj_tol
-    max_iters: int = AmOptions.max_outer_iters
+    max_outer_iters: int = AmOptions.max_outer_iters
 
     def __post_init__(self):
         _check_fields(self)
@@ -164,13 +164,10 @@ def _solve(config: RunConfig, X: DataMatrix):
     if config.solver == "global":
         sol, _ = solve_global(X, config.k)
         return sol, [sol.objective]
+    Opts = AmOptions if config.solver == "am" else MvskmOptions
+    opts = Opts(**{f.name: getattr(config, f.name) for f in fields(Opts) if hasattr(config, f.name)})
     if config.solver == "am":
-        opts = AmOptions(max_outer_iters=config.max_iters,
-                         rel_obj_tol=config.rel_obj_tol, seed=config.seed)
         return solve_am(X, config.k, opts)
-    opts = MvskmOptions(lam=config.lam, epsilon=config.epsilon,
-                        max_outer_iters=config.max_iters,
-                        rel_obj_tol=config.rel_obj_tol, seed=config.seed)
     sol, state = solve_mvskm(X, config.k, opts)
     return sol, state.objective_trace
 

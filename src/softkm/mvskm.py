@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .am import AmOptions, _alternate, _initial_prototypes
-from .core import Solution, as_matrix, center, check_k
+from .core import RANK_TAU, Solution, as_matrix, center, check_k
 from .errors import DegenerateSimplex, InvalidInput, PreconditionViolated
 from .global_solver import objective
 from .simplex import solve_membership  # noqa: F401  (an attribute bench/harness.py wraps)
@@ -94,8 +94,8 @@ def log_simplex_volume(F) -> float:
     """Log volume (up to the fixed 1/(k-1)! factor) of the simplex spanned
     by the columns of a centered prototype matrix.
 
-    Requires F ones = 0 within 1e-8 relative and rank(F) = k - 1; equals
-    log(sqrt(k)) + sum_{i<k} log(sigma_i(F)).
+    Requires F ones = 0 within 1e-8 relative and numerical rank k - 1 (at
+    RANK_TAU); equals log(sqrt(k)) + sum_{i<k} log(sigma_i(F)).
     """
     F = as_matrix(F, "prototypes")
     k = F.shape[1]
@@ -106,7 +106,7 @@ def log_simplex_volume(F) -> float:
     if colsum > 1e-8 * max(fro, np.finfo(float).tiny):
         raise PreconditionViolated("prototype columns must sum to zero")
     s = _padded_singular_values(F)[: k - 1]
-    if s[0] <= 0.0 or s[-1] <= 1e-10 * s[0]:
+    if s[0] <= 0.0 or s[-1] <= RANK_TAU * s[0]:
         raise DegenerateSimplex("prototypes do not span a (k-1)-dimensional simplex")
     return float(np.log(np.sqrt(k)) + np.log(s).sum())
 
@@ -164,7 +164,7 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
         lambda F, GtG: 0.5 * lam * reweight_matrix(F, eps),
         lambda F, G: mvskm_objective(Xc, F, G, lam, eps),
         opts,
-        float(np.sum(Xc * Xc)),
+        Xc,
     )
     F_out = F + X.mean[:, None]
     sol = Solution(F_out, G, objective(X, F_out, G))

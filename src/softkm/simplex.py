@@ -120,8 +120,8 @@ def _nnls_rows(F, P) -> np.ndarray:
     with g on the simplex and minimize over t), so g* = h / 1^T h, and
     1^T h >= 1 / (1 + d) > 0. Each row is thus the (d + 1) x k NNLS system
     [A; 1^T] h = e_{d+1}, with no penalty weight to tune; s keeps it finite
-    from subnormal to near-overflow data. Rows are independent, so the
-    block size changes no bit of the result.
+    from subnormal to near-overflow data. Row i is that h, left for the
+    caller to normalize; rows are independent, so no block size changes a bit.
     """
     d, k = F.shape
     G = np.empty((len(P), k))
@@ -131,7 +131,8 @@ def _nnls_rows(F, P) -> np.ndarray:
     for start in range(0, len(P), _NNLS_BLOCK):
         B = P[start:start + _NNLS_BLOCK]
         A = M[:len(B), :d]
-        np.subtract(F, B[:, :, None], out=A)
+        with np.errstate(over="ignore"):  # an infinite difference is rejected below
+            np.subtract(F, B[:, :, None], out=A)
         s = np.abs(A).max(axis=(1, 2))
         if not np.isfinite(s).all():
             bad = start + int(np.argmin(np.isfinite(s)))
@@ -143,7 +144,7 @@ def _nnls_rows(F, P) -> np.ndarray:
                 h = nnls(system, e)[0]
             except RuntimeError as exc:
                 raise NumericalFailure(f"NNLS failed on row {start + i}: {exc}") from exc
-            G[start + i] = h / h.sum()
+            G[start + i] = h
     return G
 
 
@@ -181,7 +182,7 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
         Pr, Fr = (P - F[:, 0]) @ Q, Q.T @ (F - F[:, :1])
     solve = _nnls_rows if _face_count(d, k) > MAX_FACES else _exact_rows
     G = solve(Fr, Pr)
-    G /= G.sum(axis=1, keepdims=True)
+    G /= G.sum(axis=1, keepdims=True)  # h / 1^T h on NNLS rows; pins enumerated sums
     if warm is not None:
         # a warm row stays where it is feasible and at least as good
         R, Rw = P - G @ F.T, P - warm @ F.T

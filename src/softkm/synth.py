@@ -11,28 +11,26 @@ from .errors import InvalidInput
 
 __all__ = ["two_gaussians", "in_convex_hull"]
 
+CENTERS = ((-0.07, -0.05), (0.07, 0.05))  # of the two blobs of two_gaussians
+SPREAD = 0.105  # their common standard deviation
 
-def two_gaussians(n: int = 140, seed: int = 0,
-                  centers=((-0.07, -0.05), (0.07, 0.05)),
-                  spread: float = 0.105) -> tuple[np.ndarray, np.ndarray]:
+
+def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Two overlapping isotropic Gaussian blobs in the plane.
 
     Returns (X, labels) with X of shape 2 x n (samples as columns) and
     integer labels 0/1, split as evenly as n allows. Fully determined by
-    the seed. The default scale is small on purpose: a unit volume penalty
-    is then strong enough to pull prototypes inside the data hull, which
-    the solver comparison relies on.
+    the seed. The scale (CENTERS, SPREAD) is small on purpose: a unit volume
+    penalty is then strong enough to pull prototypes inside the data hull,
+    which the solver comparison relies on.
     """
     if n < 2:
         raise InvalidInput("need at least two samples")
     rng = np.random.default_rng(seed)
-    n0 = n // 2
-    c = np.asarray(centers, dtype=float)
-    pts0 = c[0][:, None] + spread * rng.standard_normal((2, n0))
-    pts1 = c[1][:, None] + spread * rng.standard_normal((2, n - n0))
-    X = np.concatenate([pts0, pts1], axis=1)
-    labels = np.repeat([0, 1], [n0, n - n0])
-    return X, labels
+    sizes = (n // 2, n - n // 2)
+    X = np.concatenate([np.asarray(c)[:, None] + SPREAD * rng.standard_normal((2, m))
+                        for c, m in zip(CENTERS, sizes)], axis=1)
+    return X, np.repeat([0, 1], sizes)
 
 
 def in_convex_hull(points, query) -> bool:

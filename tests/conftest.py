@@ -20,6 +20,14 @@ def random_orthogonal(seed, m):
     return Q * np.sign(np.diag(R))
 
 
+def three_clusters():
+    """2 x 60: twenty unit-variance samples around each of (0, 0), (3, 0)
+    and (0, 3)."""
+    rng = np.random.default_rng(1)
+    C = np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 3.0]])
+    return np.repeat(C, 20, axis=1) + rng.standard_normal((2, 60))
+
+
 def decomposable_instance(seed, d, n, k):
     """X = F0 G0^T with row-stochastic G0, so centered rank is at most k-1."""
     rng = np.random.default_rng(seed)

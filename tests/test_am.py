@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import softkm.am as am_module
-from conftest import decomposable_instance, random_instance
+from conftest import decomposable_instance, random_instance, three_clusters
 from softkm import (
     AmOptions,
     InvalidInput,
@@ -12,6 +12,7 @@ from softkm import (
     objective,
     solve_am,
     solve_global,
+    solve_mvskm,
 )
 from softkm.synth import two_gaussians
 
@@ -82,6 +83,19 @@ class TestSolveAm:
         _, scaled = solve_am(1e-4 * X, 3, opts)
         assert len(trace) < 301
         assert len(scaled) == len(trace)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_energy_is_numerical_failure(self):
+        # ||Xc||_F^2 is finite at 1e152 and overflows at 1e153, where it
+        # would let the first step pass the stop rule
+        X = three_clusters()
+        _, trace = solve_am(X, 3)
+        _, big = solve_am(1e152 * X, 3)
+        assert len(big) == len(trace)
+        np.testing.assert_allclose(np.array(big) / 1e304, trace, rtol=1e-9)
+        for solve in (solve_am, lambda Y, k: solve_mvskm(Y, k, MvskmOptions(lam=1.0))):
+            with pytest.raises(NumericalFailure, match="energy"):
+                solve(1e153 * X, 3)
 
     def test_singular_normal_equations_without_ridge(self, monkeypatch):
         # identical prototype columns pin every membership row at the uniform

@@ -12,7 +12,8 @@ from softkm import (
     simplex_complement_basis,
     truncated_svd,
 )
-from softkm.core import _SYMMETRY_TILE, _exactly_symmetric, _rank_at_most, double_center
+from softkm.audits import _rank_at_most
+from softkm.core import _SYMMETRY_TILE, _exactly_symmetric, double_center
 
 
 def check_truncated_svd(A, m, sigma_rtol=1e-12):
@@ -410,6 +411,15 @@ class TestRankAtMost:
     def test_bad_tau(self):
         with pytest.raises(InvalidInput):
             _rank_at_most(np.eye(40), 50, 0.0)
+
+    @pytest.mark.parametrize("shape, r", [((40, 120), 50), ((40, 120), 3), ((10, 12), 3)],
+                             ids=["no-decomposition", "sketch", "exact"])
+    def test_non_finite_rejected_on_every_path(self, shape, r):
+        for bad in (np.nan, np.inf, -np.inf):
+            A = spectrum_instance("wide", 3, 0.0, seed=12)[: shape[0], : shape[1]].copy()
+            A[2, 5] = bad
+            with pytest.raises(InvalidInput, match="^matrix contains non-finite entries$"):
+                _rank_at_most(A, r, 1e-10)
 
 
 @settings(max_examples=50, deadline=None)

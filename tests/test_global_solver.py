@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import decomposable_instance, random_instance, random_orthogonal
+from conftest import decomposable_instance, random_instance, random_orthogonal, three_clusters
 from softkm import (
     AmOptions,
     InvalidInput,
+    NumericalFailure,
     RotationMatrix,
     center,
     infinity_bound,
@@ -12,6 +13,7 @@ from softkm import (
     rotate_solution,
     solve_am,
     solve_global,
+    truncated_svd,
 )
 
 
@@ -109,6 +111,14 @@ class TestSolveGlobal:
     def test_ragged_data_rejected(self):
         with pytest.raises(InvalidInput, match="data matrix"):
             solve_global([[1.0, 2.0], [3.0]], 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gram_is_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="Gram"):
+            solve_global(1e154 * three_clusters(), 3)
+        # a trace that overflows over a finite Gram matrix still solves
+        with np.errstate(over="ignore"):
+            assert truncated_svd(np.diag([1e154, 1e154]), 1)[1][0] == 1e154
 
 
 class TestRotateSolution:

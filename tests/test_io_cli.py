@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import three_clusters
 from softkm import (
     InvalidInput,
     NumericalFailure,
@@ -18,6 +19,7 @@ from softkm import (
     run,
     save_matrix_csv,
     simplex_complement_basis,
+    solve_am,
     solve_global,
 )
 from softkm.cli import main
@@ -236,8 +238,8 @@ class TestRun:
         with pytest.raises(InvalidInput):
             RunConfig(solver="global", k=2, input_path="", output_dir="b")
         bad = [dict(solver="am", k=2.9), dict(solver="am", k=True), dict(solver="am", k=2, seed=1.7),
-               dict(solver="am", k=2, seed=-1), dict(solver="am", k=2, max_iters="3"),
-               dict(solver="am", k=2, max_iters=0), dict(solver="am", k=2, lam="x"),
+               dict(solver="am", k=2, seed=-1), dict(solver="am", k=2, max_outer_iters="3"),
+               dict(solver="am", k=2, max_outer_iters=0), dict(solver="am", k=2, lam="x"),
                dict(solver="global", k=2, lam=-1.0), dict(solver="global", k=2, epsilon=0.0),
                dict(solver="am", k=2, rel_obj_tol="1e-3"), dict(solver="am", k=2, rel_obj_tol=-1.0)]
         for fields in bad:
@@ -322,9 +324,11 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_membership_solve_exits_3(self, tmp_path, capsys):
-        # k = 9 on two features is past the enumeration bound; data near the
-        # top of the float range must end in a numerical failure, not a traceback
+        # data near the top of the float range must end in a numerical
+        # failure, not a traceback; here ||Xc||_F^2 overflows before any
+        # membership solve (k = 9 on two features is past the enumeration bound)
         X = np.random.default_rng(0).standard_normal((40, 2)) * 1e307
         inp = tmp_path / "big.csv"
         np.savetxt(inp, X, delimiter=",", fmt="%.17g")
@@ -332,6 +336,23 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure: " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, scale, code", [
+        ("solve-am", 1e152, 0),  # ||Xc||_F^2 is finite
+        ("solve-am", 1e153, 3),  # ||Xc||_F^2 overflows
+        ("solve-global", 1e154, 3),  # the Gram matrix overflows
+    ])
+    def test_data_near_overflow(self, tmp_path, capsys, command, scale, code):
+        inp = tmp_path / "big.csv"
+        np.savetxt(inp, scale * three_clusters().T, delimiter=",", fmt="%.17g")
+        assert main([command, "--input", str(inp), "--k", "3",
+                     "--out", str(tmp_path / "o")]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("numerical failure: ")
+        else:  # the unscaled data's iteration count
+            assert f"iterations={len(solve_am(three_clusters(), 3)[1]) - 1} " in out
 
     def test_check_skmable_true(self, tmp_path, capsys):
         t = np.linspace(0, 1, 8)
