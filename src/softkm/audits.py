@@ -24,7 +24,7 @@ from .core import (
     double_center,
     numerical_rank,
 )
-from .errors import InvalidInput, NotPositiveSemidefinite
+from .errors import InvalidInput, NotPositiveSemidefinite, NumericalFailure
 from .global_solver import objective, rotate_solution, solve_global
 
 __all__ = [
@@ -177,12 +177,15 @@ def kernel_embed(K, tau: float = RANK_TAU) -> np.ndarray:
 
 def stability_audit(X, E, k: int) -> StabilityReport:
     """Evaluate the perturbed optimum on clean data against the bound
-    2 ||E||_F^2 plus the clean optimum."""
+    2 ||E||_F^2 plus the clean optimum. An energy ||E||_F^2 or an
+    objective that overflows raises NumericalFailure."""
     X = _center_view(X)
     E = as_matrix(E, "perturbation")
-    e2 = float(np.sum(E * E))
+    with np.errstate(over="ignore"):  # an infinite energy is rejected below
+        e2 = float(np.sum(E * E))
     if not np.isfinite(e2):  # a finite sum has only finite terms
         _finite_matrix(E, "perturbation")
+        raise NumericalFailure("perturbation energy ||E||_F^2 overflows")
     if E.shape != X.values.shape:
         raise InvalidInput("perturbation must match the data shape")
     sol_clean, _ = solve_global(X, k)

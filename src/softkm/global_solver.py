@@ -24,7 +24,7 @@ from .core import (
     simplex_complement_basis,
     truncated_svd,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 
 __all__ = [
     "RotationMatrix",
@@ -106,7 +106,8 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     -----
     k = 1 has no simplex direction: the single prototype is the data mean.
     Data with all samples identical yields the mean prototype replicated
-    and a uniform membership.
+    and a uniform membership. Finite data whose residual energy overflows
+    raises NumericalFailure.
     """
     X = _center_view(X)
     d, n = X.d, X.n
@@ -121,7 +122,11 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     a = float(r * np.sqrt(k * (k - 1.0)))
     F, G = _regular_simplex(U, W, B, a, X.mean)
     gf = GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=r, a=a, S=a * B.T)
-    return Solution(F, G, objective(X, F, G)), gf
+    with np.errstate(over="ignore"):  # an infinite objective is rejected below
+        obj = objective(X, F, G)
+    if not np.isfinite(obj):  # finite data and factors: the residual energy overflows
+        raise NumericalFailure("objective ||X - F G^T||_F^2 of finite data overflows")
+    return Solution(F, G, obj), gf
 
 
 def _regular_simplex(U, W, B, a: float, xbar) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,20 @@ command-line interface.
 
 On-disk CSV convention: one sample per row, optional header row, optional
 final integer column named "label" (recognized only through the header).
-Matrices are transposed to the internal d x n layout on load. All numeric
-output is written with 12 significant digits, and a fixed configuration
-produces byte-identical files on every run.
+Matrices are transposed to the internal d x n layout on load. An input is
+parsed in bulk by one `np.loadtxt` call below the header; a file that
+call rejects (quoted or blank cells, whitespace-only lines, ragged rows,
+numbers only `float` reads, an empty body) is parsed again cell by cell,
+which gives the same values and reports a bad cell by row and column.
+All numeric output is written with 12 significant digits, one `%` format
+per block of rows, and a fixed configuration produces byte-identical
+files on every run.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -91,23 +97,76 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
     A first row with any non-numeric cell is treated as a header; a header
     whose last column is "label" marks that column as integer ground-truth
     labels. Ragged rows, non-numeric cells, and empty files raise ParseError
-    with the offending location.
+    with the offending location, as do non-integer labels and labels
+    outside the int64 range.
     """
     if not os.path.exists(path):
         raise InvalidInput(f"input file not found: {path}")
+    try:
+        header, data = _parse_bulk(path)
+    except ValueError:  # the per-cell parser decides, with row and column
+        header, data = _parse_cells(path)
+    labels = None
+    if header is not None and header[-1].lower() == "label":
+        lab = data[:, -1]
+        if not np.all(lab == np.round(lab)):
+            raise ParseError(f"{path}: label column must hold integers")
+        if not np.all((lab >= -2.0**63) & (lab < 2.0**63)):
+            raise ParseError(f"{path}: label column must hold integers in the int64 range")
+        labels = lab.astype(np.int64)
+        data = data[:, :-1]
+        if data.shape[1] == 0:
+            raise ParseError(f"{path}: no feature columns besides the labels")
+    return center(data.T), labels
+
+
+def _blank(row: list[str]) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+def _header(cells: list[str]) -> list[str] | None:
+    """The first nonblank row, stripped, is the header when a cell of it
+    is not a number."""
+    try:
+        [float(cell) for cell in cells]
+    except ValueError:
+        return cells
+    return None
+
+
+def _parse_bulk(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """(header, samples x columns data) with the rows below the header
+    parsed by one np.loadtxt call. Where loadtxt parses a cell, its value
+    is float(cell.strip()); every input it does not parse, and an empty
+    body, raise ValueError, and `_parse_cells` answers instead."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = next((row for row in csv.reader(fh) if not _blank(row)), None)
+        body = fh.read()
+    if first is None or not body.strip():
+        raise ValueError("no rows below the first")
+    first = [cell.strip() for cell in first]
+    header = _header(first)
+    data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
+                      quotechar=None, ndmin=2)
+    if header is None:
+        if data.shape[1] != len(first):
+            raise ValueError("ragged rows")
+        data = np.vstack([[float(cell) for cell in first], data])
+    return header, data
+
+
+def _parse_cells(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """(header, samples x columns data), one float() call per cell; a
+    ParseError names the row and column of the first bad cell."""
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            rows.append((lineno, [cell.strip() for cell in row]))
+            if not _blank(row):
+                rows.append((lineno, [cell.strip() for cell in row]))
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    header = None
-    try:
-        [float(cell) for cell in rows[0][1]]
-    except ValueError:
-        header = rows[0][1]
+    header = _header(rows[0][1])
+    if header is not None:
         rows = rows[1:]
     if not rows:
         raise ParseError(f"{path}: header but no data rows")
@@ -125,16 +184,7 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
                 raise ParseError(
                     f"{path}: row {lineno}, column {jcol + 1}: not numeric: {cell!r}"
                 ) from None
-    labels = None
-    if header is not None and header[-1].lower() == "label":
-        lab = data[:, -1]
-        if not np.all(lab == np.round(lab)):
-            raise ParseError(f"{path}: label column must hold integers")
-        labels = lab.astype(np.int64)
-        data = data[:, :-1]
-        if data.shape[1] == 0:
-            raise ParseError(f"{path}: no feature columns besides the labels")
-    return center(data.T), labels
+    return header, data
 
 
 def load_labels(path: str) -> np.ndarray:
@@ -148,7 +198,7 @@ def load_labels(path: str) -> np.ndarray:
     A = X.values
     if A.shape[0] == 1:
         v = A[0]
-        if not np.all(v == np.round(v)) or v.min() < 0:
+        if not np.all(v == np.round(v)) or v.min() < 0 or v.max() >= 2.0**63:
             raise ParseError(f"{path}: single-column labels must be nonnegative integers")
         return v.astype(np.int64)
     return hard_assign(A.T)
@@ -157,7 +207,26 @@ def load_labels(path: str) -> np.ndarray:
 def save_matrix_csv(path: str, A) -> None:
     """Write a matrix row-wise with 12 significant digits per entry; a
     vector becomes one column."""
-    np.savetxt(path, np.asarray(A, dtype=float), fmt=_NUMBER, delimiter=",")
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 1:
+        A = A[:, None]
+    if A.ndim != 2:
+        raise ValueError(f"Expected 1D or 2D array, got {A.ndim}D array instead")
+    _write_table(path, ",".join([_NUMBER] * A.shape[1]) + "\n", A)
+
+
+_WRITE_BLOCK = 4096
+
+
+def _write_table(path: str, fmt: str, table: np.ndarray, header: str = "") -> None:
+    """Write header, then each row of the 2-d array table rendered by the
+    %-format fmt: one % operation per block of _WRITE_BLOCK rows, so that
+    only one block is ever held as Python objects."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for start in range(0, len(table), _WRITE_BLOCK):
+            block = table[start:start + _WRITE_BLOCK]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _solve(config: RunConfig, X: DataMatrix):
@@ -178,8 +247,8 @@ def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
         [X.values.T, hard_assign(sol.membership)[:, None], np.zeros((X.n, 1))],
         [sol.prototypes.T, np.arange(sol.k)[:, None], np.ones((sol.k, 1))],
     ])
-    np.savetxt(path, table, fmt=_NUMBER, delimiter=",",
-               header="x,y,label,is_prototype", comments="")
+    _write_table(path, ",".join([_NUMBER] * table.shape[1]) + "\n", table,
+                 header="x,y,label,is_prototype\n")
 
 
 def _execute(config: RunConfig, X: DataMatrix):
@@ -262,8 +331,9 @@ def format_bench_table(rows) -> str:
 
 def write_bench_outputs(rows, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(_BENCH_COLUMNS) + "\n")
-        fh.writelines(_BENCH_ROW % tuple(r[c] for c in _BENCH_COLUMNS) for r in rows)
+    # an object array keeps each value's Python type for the %s, %d and %g fields
+    table = np.array([[r[c] for c in _BENCH_COLUMNS] for r in rows], dtype=object)
+    _write_table(os.path.join(out_dir, "bench.csv"), _BENCH_ROW, table,
+                 header=",".join(_BENCH_COLUMNS) + "\n")
     with open(os.path.join(out_dir, "bench.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_bench_table(rows) + "\n")

@@ -31,8 +31,8 @@ def _as_labels(v, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a nonempty 1-d array")
     if not np.issubdtype(a.dtype, np.integer):
         af = np.asarray(a, dtype=float)
-        if not np.all(np.isfinite(af)) or np.any(af != np.round(af)):
-            raise InvalidInput(f"{name} must hold integers")
+        if not np.all((af == np.round(af)) & (np.abs(af) < 2.0**63)):
+            raise InvalidInput(f"{name} must hold integers in the int64 range")
         a = af.astype(np.int64)
     if a.min() < 0:
         raise InvalidInput(f"{name} must be nonnegative")
@@ -40,9 +40,15 @@ def _as_labels(v, name: str) -> np.ndarray:
 
 
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    C = np.zeros((int(pred.max()) + 1, int(truth.max()) + 1), dtype=np.int64)
-    np.add.at(C, (pred, truth), 1)
-    return C
+    """Counts of each (pred, truth) pair, one row and one column per label
+    value present, in increasing order of value. Labels whose value-indexed
+    table would outgrow the sample count are first relabelled 0..m-1."""
+    if (int(pred.max()) + 1) * (int(truth.max()) + 1) > pred.size:
+        pred = np.unique(pred, return_inverse=True)[1]
+        truth = np.unique(truth, return_inverse=True)[1]
+    nt = int(truth.max()) + 1
+    C = np.bincount(pred * nt + truth, minlength=(int(pred.max()) + 1) * nt).reshape(-1, nt)
+    return C[C.any(axis=1)][:, C.any(axis=0)]
 
 
 def _paired(pred, truth):

@@ -35,3 +35,12 @@ def decomposable_instance(seed, d, n, k):
     G0 = rng.random((n, k)) + 1e-3
     G0 /= G0.sum(axis=1, keepdims=True)
     return F0 @ G0.T, F0, G0
+
+
+def overflowing_perturbation():
+    """(X, E): 5 x 100 standard-normal data and a 1.3e153-scaled
+    standard-normal perturbation. X + E has a finite Gram matrix, but its
+    residual energy at k = 3 and ||E||_F^2 overflow."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((5, 100))
+    return X, 1.3e153 * rng.standard_normal((5, 100))

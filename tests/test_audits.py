@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import softkm.audits
-from conftest import decomposable_instance, random_instance
+from conftest import decomposable_instance, overflowing_perturbation, random_instance
 from softkm import (
     InvalidInput,
     KernelMatrix,
     NotPositiveSemidefinite,
+    NumericalFailure,
     StabilityReport,
     center,
     infinity_bound,
@@ -221,6 +222,12 @@ class TestStabilityAudit:
         E[0, 0] = np.inf
         with pytest.raises(InvalidInput):
             stability_audit(X, E, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_perturbation(self):
+        X, E = overflowing_perturbation()
+        with pytest.raises(NumericalFailure, match="overflows"):
+            stability_audit(X, E, 3)
 
 
 def _unit(seed, shape):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import decomposable_instance, random_instance, random_orthogonal, three_clusters
+from conftest import (
+    decomposable_instance,
+    overflowing_perturbation,
+    random_instance,
+    random_orthogonal,
+    three_clusters,
+)
 from softkm import (
     AmOptions,
     InvalidInput,
@@ -119,6 +125,12 @@ class TestSolveGlobal:
         # a trace that overflows over a finite Gram matrix still solves
         with np.errstate(over="ignore"):
             assert truncated_svd(np.diag([1e154, 1e154]), 1)[1][0] == 1e154
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_objective_is_numerical_failure(self):
+        X, E = overflowing_perturbation()
+        with pytest.raises(NumericalFailure, match="objective"):
+            solve_global(X + E, 3)
 
 
 class TestRotateSolution:

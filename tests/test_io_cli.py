@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import three_clusters
+import softkm.io as sio
+from conftest import overflowing_perturbation, three_clusters
 from softkm import (
     InvalidInput,
     NumericalFailure,
@@ -43,6 +47,11 @@ def reference_csv(rows) -> str:
 # -0.0, subnormals, 1e+-300 and integer-valued floats
 EDGE = np.array([[-0.0, 5e-324, 1e300, -1e-300, 3.0],
                  [2.5e-310, -1e300, 1e-300, -2.0, 1 / 3]])
+
+# nan, +-inf, -0.0, subnormals; LONG spans more than one block of rows
+SPECIAL = np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324],
+                    [2.5e-310, 1 / 3, -1e300, 0.0, 12345678901234.5]])
+LONG = np.random.default_rng(2).standard_normal((sio._WRITE_BLOCK + 7, 3))
 
 TWO_POINTS = "-1\n1\n"
 
@@ -111,6 +120,18 @@ class TestLoadCsv:
         with pytest.raises(InvalidInput, match="not found"):
             load_csv(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["inf", "-inf", "1e300", "9223372036854775808"])
+    def test_labels_beyond_int64(self, tmp_path, label):
+        p = write(tmp_path / "a.csv", f"x,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(p)}: label column .* int64 range"):
+            load_csv(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_label_at_int64_minimum(self, tmp_path):
+        _, labels = load_csv(write(tmp_path / "a.csv", "x,label\n1.0,-9223372036854775808\n"))
+        assert labels.tolist() == [np.iinfo(np.int64).min]
+
 
 class TestLoadLabels:
     def test_label_column(self, tmp_path):
@@ -129,6 +150,100 @@ class TestLoadLabels:
         p = write(tmp_path / "a.csv", "0.25\n0.75\n")
         with pytest.raises(ParseError, match="nonnegative integers"):
             load_labels(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_single_column_beyond_int64(self, tmp_path):
+        p = write(tmp_path / "a.csv", "0\n1e300\n")
+        with pytest.raises(ParseError, match="nonnegative integers"):
+            load_labels(p)
+
+
+def loaded(path):
+    """load_csv's answer as bytes, or the type and text of its error."""
+    try:
+        X, labels = load_csv(path)
+    except InvalidInput as exc:
+        return type(exc).__name__, str(exc)
+    return X.values.shape, X.values.tobytes(), None if labels is None else labels.tobytes()
+
+
+def decline(path):
+    raise ValueError("per-cell parser only")
+
+
+def paths_agree(path) -> bool:
+    """Assert that load_csv answers alike through np.loadtxt and through
+    the per-cell parser; return whether np.loadtxt took the file."""
+    try:
+        sio._parse_bulk(path)
+        bulk = True
+    except ValueError:
+        bulk = False
+    fast = loaded(path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sio, "_parse_bulk", decline)
+        slow = loaded(path)
+    assert fast == slow
+    return bulk
+
+
+# cells np.loadtxt parses to float(cell.strip()), and cells it rejects
+BULK_CELLS = [" 1.5 ", "\t2", "nan", "NaN", "-nan", "-inf", "inF", "Infinity", "1e400",
+              "-1e-400", "5e-324", "1.5\xa0", "+7", "1.5\u2028"]
+CELL_ONLY = ["1_0", "\u0661", "", " ", '"3"', "0x10", "oops"]
+
+# (text with {e} for the line ending, whether np.loadtxt takes it)
+LAYOUTS = [
+    ("1,2{e}{e}3,4{e}", True),  # blank line
+    ("{e}{e}1,2{e}3,4", True),  # leading blank lines, no final line ending
+    ("x,y{e}1,2{e} {e}3,4{e}", False),  # whitespace-only line
+    ("x,y{e}1,2{e},{e}3,4{e}", False),  # line of empty cells
+    ("1,2{e}3{e}", False),  # ragged, no header
+    ("x,y{e}1,2{e}3,4,5{e}", False),  # ragged below a header
+    ("x,y{e}", False),  # header only
+    ("x,y{e}{e}  {e}", False),  # header and blank lines
+    ("", False),
+    ("{e}{e}", False),
+    ("1,2,3{e}", False),  # one row
+    ("x{e}1{e}2{e}", True),  # one column
+    ("x,label{e}1.5,0{e}2.5,1{e}", True),
+    ("x,label{e}1.5,0{e}2.5,nan{e}", True),
+    ("x,label{e}1.5,0{e}2.5,inf{e}", True),
+    ("x,label{e}1.5,0{e}2.5,0.5{e}", True),
+    ("label{e}0{e}1{e}", True),
+]
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("header", ["x,y\n", ""], ids=["header", "no-header"])
+    @pytest.mark.parametrize("cell", BULK_CELLS + CELL_ONLY)
+    def test_cell_below_the_first_row(self, tmp_path, cell, header):
+        p = write(tmp_path / "a.csv", f"{header}2,3\n1,{cell}\n")
+        assert paths_agree(p) == (cell in BULK_CELLS)
+
+    @pytest.mark.parametrize("cell", BULK_CELLS + CELL_ONLY)
+    def test_cell_in_the_first_row(self, tmp_path, cell):
+        # the first row is read with float(), as the header test reads it,
+        # or it is the header, so np.loadtxt takes every one of these files
+        assert paths_agree(write(tmp_path / "a.csv", f"{cell},1\n2,3\n"))
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("text, bulk", LAYOUTS)
+    def test_layout(self, tmp_path, text, bulk, ending):
+        assert paths_agree(write(tmp_path / "a.csv", text.format(e=ending))) == bulk
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.sampled_from(["", "a,b", "a,label", "a"]),
+           rows=st.lists(st.lists(st.sampled_from(BULK_CELLS + CELL_ONLY + ["0", "-3.25", "7"]),
+                                  min_size=1, max_size=3), max_size=6),
+           endings=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n"]),
+                            min_size=7, max_size=7))
+    def test_random_files(self, tmp_path_factory, header, rows, endings):
+        lines = ([header] if header else []) + [",".join(row) for row in rows]
+        text = "".join(line + end for line, end in zip(lines, endings))
+        path = tmp_path_factory.mktemp("bulk") / "a.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        paths_agree(str(path))
 
 
 class TestSaveMatrixCsv:
@@ -152,6 +267,13 @@ class TestSaveMatrixCsv:
         save_matrix_csv(str(p), A)
         rows = A.reshape(-1, 1) if A.ndim == 1 else A
         assert p.read_text() == reference_csv(rows.tolist())
+
+    @pytest.mark.parametrize("A", [SPECIAL, SPECIAL[0], SPECIAL[:1], SPECIAL[:, :1], LONG],
+                             ids=["matrix", "vector", "row", "column", "blocks"])
+    def test_matches_savetxt(self, tmp_path, A):
+        save_matrix_csv(str(tmp_path / "m.csv"), A)
+        np.savetxt(tmp_path / "ref.csv", A, fmt="%.12g", delimiter=",")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRun:
@@ -336,6 +458,15 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "numerical failure: " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_objective_exits_3(self, tmp_path, capsys):
+        X, E = overflowing_perturbation()
+        inp = tmp_path / "big.csv"
+        np.savetxt(inp, (X + E).T, delimiter=",", fmt="%.17g")
+        assert main(["solve-global", "--input", str(inp), "--k", "3",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: objective")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, scale, code", [

@@ -126,6 +126,24 @@ class TestPurity:
             assert purity(pred, truth) >= accuracy(pred, truth) - 1e-12
 
 
+class TestLabelValues:
+    def test_scores_depend_on_the_partition_only(self):
+        rng = np.random.default_rng(5)
+        truth = rng.integers(0, 3, size=2000)
+        pred = np.where(rng.random(2000) < 0.8, truth, rng.integers(0, 3, size=2000))
+        for values in ([0, 5, 9], [0, 7, 2_000_000]):  # gaps in a small table; a relabel
+            spread = np.array(values)[pred]
+            for score in (accuracy, nmi, purity):
+                assert score(spread, truth) == score(pred, truth)
+                assert score(truth, spread) == score(truth, pred)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [1e300, 2.0**63, np.inf])
+    def test_float_labels_beyond_int64(self, bad):
+        with pytest.raises(InvalidInput, match="int64 range"):
+            accuracy([0.0, bad], [0, 1])
+
+
 class TestAgreementImpliesPerfectScores:
     def test_all_three(self):
         rng = np.random.default_rng(4)
