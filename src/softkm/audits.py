@@ -181,13 +181,13 @@ def stability_audit(X, E, k: int) -> StabilityReport:
     objective that overflows raises NumericalFailure."""
     X = _center_view(X)
     E = as_matrix(E, "perturbation")
+    if E.shape != X.values.shape:
+        raise InvalidInput("perturbation must match the data shape")
     with np.errstate(over="ignore"):  # an infinite energy is rejected below
         e2 = float(np.sum(E * E))
     if not np.isfinite(e2):  # a finite sum has only finite terms
         _finite_matrix(E, "perturbation")
         raise NumericalFailure("perturbation energy ||E||_F^2 overflows")
-    if E.shape != X.values.shape:
-        raise InvalidInput("perturbation must match the data shape")
     sol_clean, _ = solve_global(X, k)
     sol_pert, _ = solve_global(_center_view(X.values + E), k)
     lhs = objective(X, sol_pert.prototypes, sol_pert.membership)

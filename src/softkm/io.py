@@ -8,9 +8,9 @@ parsed in bulk by one `np.loadtxt` call below the header; a file that
 call rejects (quoted or blank cells, whitespace-only lines, ragged rows,
 numbers only `float` reads, an empty body) is parsed again cell by cell,
 which gives the same values and reports a bad cell by row and column.
-All numeric output is written with 12 significant digits, one `%` format
-per block of rows, and a fixed configuration produces byte-identical
-files on every run.
+All numeric output is written with 12 significant digits (a matrix with
+one `%` format per block of rows), and a fixed configuration produces
+byte-identical files on every run.
 """
 
 from __future__ import annotations
@@ -331,9 +331,8 @@ def format_bench_table(rows) -> str:
 
 def write_bench_outputs(rows, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    # an object array keeps each value's Python type for the %s, %d and %g fields
-    table = np.array([[r[c] for c in _BENCH_COLUMNS] for r in rows], dtype=object)
-    _write_table(os.path.join(out_dir, "bench.csv"), _BENCH_ROW, table,
-                 header=",".join(_BENCH_COLUMNS) + "\n")
+    with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as fh:
+        fh.write(",".join(_BENCH_COLUMNS) + "\n")
+        fh.writelines(_BENCH_ROW % tuple(r[c] for c in _BENCH_COLUMNS) for r in rows)
     with open(os.path.join(out_dir, "bench.txt"), "w", encoding="utf-8") as fh:
         fh.write(format_bench_table(rows) + "\n")

@@ -41,14 +41,13 @@ def _as_labels(v, name: str) -> np.ndarray:
 
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Counts of each (pred, truth) pair, one row and one column per label
-    value present, in increasing order of value. Labels whose value-indexed
-    table would outgrow the sample count are first relabelled 0..m-1."""
-    if (int(pred.max()) + 1) * (int(truth.max()) + 1) > pred.size:
-        pred = np.unique(pred, return_inverse=True)[1]
-        truth = np.unique(truth, return_inverse=True)[1]
+    value present, in increasing order of value. Both vectors are first
+    relabelled 0..m-1, so the table's size follows the number of distinct
+    labels, not their largest value."""
+    pred = np.unique(pred, return_inverse=True)[1]
+    truth = np.unique(truth, return_inverse=True)[1]
     nt = int(truth.max()) + 1
-    C = np.bincount(pred * nt + truth, minlength=(int(pred.max()) + 1) * nt).reshape(-1, nt)
-    return C[C.any(axis=1)][:, C.any(axis=0)]
+    return np.bincount(pred * nt + truth, minlength=(int(pred.max()) + 1) * nt).reshape(-1, nt)
 
 
 def _paired(pred, truth):

@@ -228,6 +228,8 @@ class TestStabilityAudit:
         X, E = overflowing_perturbation()
         with pytest.raises(NumericalFailure, match="overflows"):
             stability_audit(X, E, 3)
+        with pytest.raises(InvalidInput, match="match the data shape"):
+            stability_audit(X, E[:, :-1], 3)
 
 
 def _unit(seed, shape):

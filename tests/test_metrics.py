@@ -131,7 +131,7 @@ class TestLabelValues:
         rng = np.random.default_rng(5)
         truth = rng.integers(0, 3, size=2000)
         pred = np.where(rng.random(2000) < 0.8, truth, rng.integers(0, 3, size=2000))
-        for values in ([0, 5, 9], [0, 7, 2_000_000]):  # gaps in a small table; a relabel
+        for values in ([0, 5, 9], [0, 7, 2_000_000]):  # gaps; a value far beyond n
             spread = np.array(values)[pred]
             for score in (accuracy, nmi, purity):
                 assert score(spread, truth) == score(pred, truth)
