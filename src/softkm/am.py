@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,8 +30,9 @@ RIDGE = 1e-10
 _SOLVERS = ("global", "am", "mvskm")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_finite(v) -> bool:
+    # an int beyond the float range is not finite here either
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
@@ -45,9 +47,9 @@ _FIELD_CHECKS = {
     "k": _POSITIVE_INT,
     "max_outer_iters": _POSITIVE_INT,
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
-    "lam": (lambda v: v is None or _is_number(v) and v >= 0, "a nonnegative number"),
-    "epsilon": (lambda v: _is_number(v) and v > 0, "a strictly positive number"),
-    "rel_obj_tol": (lambda v: _is_number(v) and v >= 0, "a nonnegative number"),
+    "lam": (lambda v: v is None or _is_finite(v) and v >= 0, "a finite nonnegative number"),
+    "epsilon": (lambda v: _is_finite(v) and v > 0, "a finite strictly positive number"),
+    "rel_obj_tol": (lambda v: _is_finite(v) and v >= 0, "a finite nonnegative number"),
     "init": (lambda v: not isinstance(v, str) or v == "random_points",
              "'random_points' or a d x k array"),
 }

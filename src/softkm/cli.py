@@ -32,18 +32,17 @@ EXIT_NUMERICAL = 3
 
 
 def _add_solver_parser(sub, name: str, blurb: str):
-    # flags left out are absent from the namespace, so RunConfig's defaults apply
+    # flags left out are absent from the namespace, so RunConfig's defaults
+    # apply; the others keep their bench spec key names, mapped by _SPEC_KEYS
     p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
-    p.add_argument("--input", dest="input_path", required=True, help="samples-as-rows CSV")
+    p.add_argument("--input", required=True, help="samples-as-rows CSV")
     p.add_argument("--k", type=int, required=True, help="number of prototypes")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="volume penalty weight (required for solve-mvskm)")
+    p.add_argument("--lambda", type=float, help="volume penalty weight (required for solve-mvskm)")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", dest="rel_obj_tol", type=float,
-                   help="relative objective tolerance for iterative solvers")
-    p.add_argument("--max-iters", dest="max_outer_iters", type=int)
-    p.add_argument("--out", dest="output_dir", required=True, help="output directory")
+    p.add_argument("--tol", type=float, help="relative objective tolerance for iterative solvers")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--out", required=True, help="output directory")
     return p
 
 
@@ -79,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     fields = vars(args).copy()
-    cfg = RunConfig(solver=fields.pop("command").removeprefix("solve-"), **fields)
+    paths = {"input_path": fields.pop("input"), "output_dir": fields.pop("out")}
+    fields["solver"] = fields.pop("command").removeprefix("solve-")
+    cfg = RunConfig(**paths, **{_SPEC_KEYS[key]: value for key, value in fields.items()})
     res = run(cfg)
     print(f"solver={res.solver} k={res.k} objective={res.objective:.12g} "
           f"iterations={res.iterations} out={cfg.output_dir}")
@@ -115,8 +116,8 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# bench spec key -> RunConfig field; absent keys keep RunConfig's defaults,
-# and RunConfig checks every value
+# bench spec key and solve-* flag -> RunConfig field; absent keys keep
+# RunConfig's defaults, and RunConfig checks every value
 _SPEC_KEYS = {"solver": "solver", "k": "k", "lambda": "lam", "seed": "seed",
               "epsilon": "epsilon", "tol": "rel_obj_tol", "max_iters": "max_outer_iters"}
 
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidInput, SoftKMError) as exc:
+    except SoftKMError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

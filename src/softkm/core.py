@@ -18,10 +18,7 @@ __all__ = [
     "DataMatrix",
     "GlobalFactors",
     "Solution",
-    "as_matrix",
     "center",
-    "check_k",
-    "double_center",
     "simplex_complement_basis",
     "truncated_svd",
     "numerical_rank",

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SoftKMError",
+    "InvalidInput",
+    "ParseError",
+    "PreconditionViolated",
+    "DegenerateSimplex",
+    "NotPositiveSemidefinite",
+    "NumericalFailure",
+]
+
 
 class SoftKMError(Exception):
     """Base class for all library errors."""

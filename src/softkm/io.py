@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .am import AmOptions, _check_fields, solve_am
-from .core import DataMatrix, center
+from .core import DataMatrix, Solution, center
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
 from .metrics import accuracy, hard_assign, nmi, purity
@@ -39,8 +39,6 @@ __all__ = [
     "save_matrix_csv",
     "run",
     "bench",
-    "format_bench_table",
-    "write_bench_outputs",
 ]
 
 _NUMBER = "%.12g"
@@ -51,8 +49,9 @@ class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
     input lives and the artifacts go. Construction checks every field,
     whatever the solver, against the table that checks AmOptions and
-    MvskmOptions; mvskm needs lam. lam and epsilon are stored as floats;
-    the iterative defaults are the options'.
+    MvskmOptions, and an mvskm config also builds its MvskmOptions, whose
+    rules on lam and epsilon it thereby keeps. lam and epsilon are stored
+    as floats; the iterative defaults are the options'.
     """
 
     solver: str
@@ -67,11 +66,11 @@ class RunConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.solver == "mvskm" and self.lam is None:
-            raise InvalidInput("mvskm requires a nonnegative lambda")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.lam is not None:
             object.__setattr__(self, "lam", float(self.lam))
+        if self.solver == "mvskm":
+            _options(self)
 
 
 @dataclass(frozen=True)
@@ -229,16 +228,35 @@ def _write_table(path: str, fmt: str, table: np.ndarray, header: str = "") -> No
             fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _solve(config: RunConfig, X: DataMatrix):
+def _options(config: RunConfig) -> AmOptions:
+    """The AmOptions or MvskmOptions of an am or mvskm config."""
+    Opts = AmOptions if config.solver == "am" else MvskmOptions
+    return Opts(**{f.name: getattr(config, f.name) for f in fields(Opts) if hasattr(config, f.name)})
+
+
+def _solve(config: RunConfig, X: DataMatrix) -> tuple[RunResult, Solution]:
+    """Run one configured solve on X; nothing is written."""
+    t0 = time.perf_counter()
     if config.solver == "global":
         sol, _ = solve_global(X, config.k)
-        return sol, [sol.objective]
-    Opts = AmOptions if config.solver == "am" else MvskmOptions
-    opts = Opts(**{f.name: getattr(config, f.name) for f in fields(Opts) if hasattr(config, f.name)})
-    if config.solver == "am":
-        return solve_am(X, config.k, opts)
-    sol, state = solve_mvskm(X, config.k, opts)
-    return sol, state.objective_trace
+        trace = [sol.objective]
+    elif config.solver == "am":
+        sol, trace = solve_am(X, config.k, _options(config))
+    else:
+        sol, state = solve_mvskm(X, config.k, _options(config))
+        trace = state.objective_trace
+    result = RunResult(
+        solver=config.solver,
+        k=config.k,
+        seed=config.seed,
+        lam=config.lam,
+        epsilon=config.epsilon,
+        objective=sol.objective,
+        iterations=max(len(trace) - 1, 1),
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+        objective_trace=[float(v) for v in trace],
+    )
+    return result, sol
 
 
 def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
@@ -251,20 +269,7 @@ def _write_plotdata(path: str, X: DataMatrix, sol) -> None:
                  header="x,y,label,is_prototype\n")
 
 
-def _execute(config: RunConfig, X: DataMatrix):
-    t0 = time.perf_counter()
-    sol, trace = _solve(config, X)
-    result = RunResult(
-        solver=config.solver,
-        k=config.k,
-        seed=config.seed,
-        lam=config.lam,
-        epsilon=config.epsilon,
-        objective=sol.objective,
-        iterations=max(len(trace) - 1, 1),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-        objective_trace=[float(v) for v in trace],
-    )
+def _write(config: RunConfig, X: DataMatrix, result: RunResult, sol: Solution) -> None:
     os.makedirs(config.output_dir, exist_ok=True)
     save_matrix_csv(os.path.join(config.output_dir, "membership.csv"), sol.membership)
     save_matrix_csv(os.path.join(config.output_dir, "prototypes.csv"), sol.prototypes.T)
@@ -275,7 +280,6 @@ def _execute(config: RunConfig, X: DataMatrix):
         fh.write("\n")
     if X.d == 2:
         _write_plotdata(os.path.join(config.output_dir, "plotdata.csv"), X, sol)
-    return result, sol
 
 
 def run(config: RunConfig) -> RunResult:
@@ -286,7 +290,9 @@ def run(config: RunConfig) -> RunResult:
     hard-labeled samples plus flagged prototype rows.
     """
     X, _ = load_csv(config.input_path)
-    return _execute(config, X)[0]
+    result, sol = _solve(config, X)
+    _write(config, X, result, sol)
+    return result
 
 
 _BENCH_COLUMNS = ("solver", "k", "seed", "lambda", "objective", "acc", "nmi", "purity")
@@ -297,7 +303,9 @@ def bench(configs) -> list[dict]:
     """Run several configurations on their one shared input file and score
     each against that file's label column with accuracy, NMI, and purity.
     The file is parsed once; an input without a label column raises
-    InvalidInput before any solve. Returns one row dict per config."""
+    InvalidInput before any solve, and every config is solved before the
+    first artifact is written, so a failing run leaves no files. Returns
+    one row dict per config."""
     configs = list(configs)
     if not configs:
         raise InvalidInput("bench needs at least one configuration")
@@ -306,9 +314,10 @@ def bench(configs) -> list[dict]:
     X, truth = load_csv(configs[0].input_path)
     if truth is None:
         raise InvalidInput("bench input must carry a label column")
+    solved = [(cfg, *_solve(cfg, X)) for cfg in configs]
     rows = []
-    for cfg in configs:
-        res, sol = _execute(cfg, X)
+    for cfg, res, sol in solved:
+        _write(cfg, X, res, sol)
         pred = hard_assign(sol.membership)
         row = {name: getattr(res, name) for name in ("solver", "k", "seed", "objective")}
         rows.append({**row, "lambda": 0.0 if res.lam is None else res.lam,

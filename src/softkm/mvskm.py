@@ -20,6 +20,7 @@ added back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,9 @@ __all__ = [
 class MvskmOptions(AmOptions):
     """Loop controls plus the volume penalty: lam weighs it (the objective
     carries lam/2) and is required, epsilon smooths the log and must be
-    strictly positive."""
+    strictly positive. Both are finite, and so are 1/epsilon and
+    lam/(2 epsilon), the largest entries of D and of the F-update's
+    (lam/2) D."""
 
     lam: float
     epsilon: float = 1e-8
@@ -54,6 +57,11 @@ class MvskmOptions(AmOptions):
         super().__post_init__()
         if self.lam is None:
             raise InvalidInput("mvskm requires a nonnegative lambda")
+        # finite exactly when 1/epsilon and lam/(2 epsilon) both are; Python
+        # floats overflow to inf without a warning
+        if not math.isfinite(max(1.0, float(self.lam) / 2.0) / float(self.epsilon)):
+            raise InvalidInput("1/epsilon and lam/(2 epsilon) must be finite, got "
+                               f"lam={self.lam!r}, epsilon={self.epsilon!r}")
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,6 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
     m = A.shape[1]
     if A.shape[0] != d:
         raise InvalidInput("X and F must agree on the feature dimension")
-    if not F.any():
-        raise InvalidInput("prototype matrix must be nonzero")
     if warm is not None:
         warm = _finite_matrix(warm, "warm start")
         if warm.shape != (m, k):

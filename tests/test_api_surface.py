@@ -1,7 +1,12 @@
-"""The public surface: every exported name exists once, the README's list
-of what the package offers names only exported functions and classes, and
-every entry point that takes a count k checks it by the one rule."""
+"""The public surface: every exported name is declared once, in its
+module's __all__, the README's list of what the package offers names only
+exported functions and classes, the solve-* flags and the bench spec share
+one key table, and every entry point that takes a count k checks it by the
+one rule."""
 
+import argparse
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -10,6 +15,7 @@ import pytest
 
 import softkm
 from conftest import random_instance
+from softkm.cli import _SPEC_KEYS, build_parser
 from softkm import (
     InvalidInput,
     MvskmOptions,
@@ -37,6 +43,32 @@ def test_exports_resolve_once_and_cover_the_readme():
     names = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", box)) - {"softkm"}
     assert "solve_global" in names
     assert sorted(names - set(softkm.__all__)) == []
+
+
+def test_each_export_is_declared_once():
+    # softkm re-exports its modules' __all__: each name is declared in one
+    # module, and softkm.<name> is that module's object
+    declared = {}
+    for stem in sorted(p.stem for p in (ROOT / "src" / "softkm").glob("*.py")):
+        if stem in ("__init__", "cli"):  # the package itself and the front end
+            continue
+        module = importlib.import_module(f"softkm.{stem}")
+        for name in module.__all__:
+            declared.setdefault(name, []).append(stem)
+            assert getattr(softkm, name) is getattr(module, name), (stem, name)
+    assert {name: stems for name, stems in declared.items() if len(stems) > 1} == {}
+    assert sorted(declared) == sorted(softkm.__all__)
+    assert [n for n in softkm.__all__ if n.startswith("_") or inspect.ismodule(getattr(softkm, n))] == []
+    init = (ROOT / "src" / "softkm" / "__init__.py").read_text(encoding="utf-8")
+    assert sorted(set(re.findall(r"\w+", init)) & set(softkm.__all__)) == []
+
+
+def test_solve_flags_are_the_bench_spec_keys():
+    # one table, cli._SPEC_KEYS, maps both onto RunConfig's fields
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve-global", "solve-am", "solve-mvskm"):
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "input", "out"}
+        assert dests == set(_SPEC_KEYS) - {"solver"}, command
 
 
 def test_no_hand_written_k_check():

@@ -641,6 +641,47 @@ class TestCli:
             assert ("runs[0]: " if isinstance(runs, list) else "runs must be a list") in err
             assert not (tmp_path / "o").exists(), runs
 
+    @pytest.mark.parametrize("runs", [
+        [{"solver": "global", "k": k} for k in (2, 3, 4)],  # k - 1 <= min(d, n) = 2
+        [{"solver": "am", "k": 2}, {"solver": "mvskm", "k": 1, "lambda": 1.0}],
+    ])
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, runs):
+        # every run is solved before the first artifact is written
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"input": inp, "out": str(tmp_path / "o"), "runs": runs}))
+        assert main(["bench", "--spec", spec]) == 2
+        assert "must be an integer in" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_lambda_rejected_before_any_solve(self, tmp_path, capsys):
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        runs = [{"solver": "global", "k": 2}, {"solver": "mvskm", "k": 2, "lambda": 1e308}]
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"input": inp, "out": str(tmp_path / "o"), "runs": runs}))
+        assert main(["bench", "--spec", spec]) == 2
+        assert "runs[1]: 1/epsilon and lam/(2 epsilon) must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, flags", [
+        ("solve-mvskm", ["--lambda", "inf"]),
+        ("solve-mvskm", ["--lambda", "nan"]),
+        ("solve-mvskm", ["--lambda", "1e308"]),
+        ("solve-mvskm", ["--lambda", "1", "--epsilon", "inf"]),
+        ("solve-mvskm", ["--lambda", "1", "--epsilon", "1e-320"]),
+        ("solve-mvskm", ["--lambda", "1", "--tol", "inf"]),
+        ("solve-am", ["--tol", "inf"]),
+        ("solve-am", ["--lambda", "inf"]),
+    ])
+    def test_options_must_be_finite(self, tmp_path, capsys, command, flags):
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        out = tmp_path / "o"
+        assert main([command, "--input", inp, "--k", "2", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_bench_parses_its_input_once(self, tmp_path, monkeypatch):
         import softkm.cli as cli
         import softkm.io as sio

@@ -284,6 +284,35 @@ class TestSolveMvskm:
                 with pytest.raises(InvalidInput):
                     make(**{name: value})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields, each_value", [
+        ({"lam": math.inf}, True), ({"lam": math.nan}, True), ({"lam": 10**400}, True),
+        ({"epsilon": math.inf}, True), ({"rel_obj_tol": math.inf}, True),
+        ({"lam": 1e308}, False), ({"epsilon": 1e-320}, False),
+        ({"lam": np.float64(1e300), "epsilon": np.float64(1e-10)}, False),
+    ])
+    def test_options_finite_and_representable(self, fields, each_value):
+        # every value is finite, and for mvskm so are 1/epsilon and
+        # lam/(2 epsilon), the largest entries of D and of (lam/2) D; a value
+        # is checked whatever the solver, the pair by MvskmOptions alone, and
+        # no check warns
+        config = partial(RunConfig, k=2, input_path="a", output_dir="b", lam=1.0)
+        for make in (partial(MvskmOptions, lam=1.0), partial(config, solver="mvskm")):
+            with pytest.raises(InvalidInput):
+                make(**fields)
+        if each_value:
+            with pytest.raises(InvalidInput):
+                config(solver="am", **fields)
+        else:
+            config(solver="am", **fields)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_penalty_accepted(self):
+        # lam/(2 epsilon) = 5e307 at the default epsilon: accepted, and solved finitely
+        opts = MvskmOptions(lam=1e300, max_outer_iters=3)
+        _, state = solve_mvskm(random_instance(51, 2, 12), 3, opts)
+        assert np.isfinite(state.objective_trace).all()
+
     def test_requires_options_instance(self):
         X = random_instance(49, 2, 10)
         with pytest.raises(InvalidInput):

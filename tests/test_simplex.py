@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from softkm import InvalidInput, NumericalFailure, center, project_simplex, solve_membership
+from softkm import (
+    InvalidInput,
+    MvskmOptions,
+    NumericalFailure,
+    center,
+    project_simplex,
+    solve_am,
+    solve_membership,
+    solve_mvskm,
+)
 from softkm import simplex as simplex_module
 
 
@@ -229,9 +238,23 @@ class TestSolveSimplexLs:
             after = np.sum((X - F @ G.T) ** 2, axis=0)
             assert np.all(after <= before + 1e-12)
 
-    def test_zero_prototypes_rejected(self):
-        with pytest.raises(InvalidInput):
-            solve_one(np.zeros((2, 3)), np.ones(2))
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_zero_prototypes_solved(self, k):
+        # F = 0 fits every membership equally, so each row is any feasible
+        # one; k = 3 on two features is enumerated, k = 9 goes to NNLS
+        assert enumerated(2, k) == (k == 3)
+        X = np.column_stack([np.zeros(2), np.random.default_rng(k).normal(size=(2, 5))])
+        G = solve_membership(np.zeros((2, k)), X)
+        assert G.shape == (6, k)
+        assert np.all(G >= 0.0) and np.allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_solvers_fit_constant_data(self):
+        # the data sit at their mean, so the alternating solvers start from,
+        # and keep, prototypes at it: all zero for solve_am here
+        sol, _ = solve_am(np.zeros((2, 5)), 2)
+        assert sol.objective == 0.0 and not sol.prototypes.any()
+        sol, _ = solve_mvskm(np.ones((2, 5)), 2, MvskmOptions(lam=1.0))
+        assert sol.objective == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
