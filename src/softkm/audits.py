@@ -15,9 +15,11 @@ import scipy.linalg
 
 from .core import (
     RANK_TAU,
+    DataMatrix,
     _center_view,
     _exactly_symmetric,
     _finite_matrix,
+    _is_int,
     as_matrix,
     center,  # noqa: F401  (an attribute bench/harness.py wraps)
     check_k,
@@ -86,9 +88,10 @@ def _as_kernel(K) -> np.ndarray:
 def _rank_at_most(A, r: int, tau: float) -> bool:
     """Exactly `numerical_rank(A, tau) <= r`, mostly without computing it.
 
-    A rank at least min(p, q) needs no decomposition. Otherwise a range
-    finder (Halko, Martinsson & Tropp 2011) sketches A / max|A| in its tall
-    orientation T with a fixed-seed Gaussian test matrix of r + 11 columns:
+    A bound r >= min(p, q) needs no decomposition, only a finite A; a lower
+    r finds a non-finite A from max|A|. Otherwise a range finder (Halko,
+    Martinsson & Tropp 2011) sketches A / max|A| in its tall orientation T
+    with a fixed-seed Gaussian test matrix of r + 11 columns:
     Q = orth(T Omega), B = Q^T T. Two certificates then decide, each with a
     slack of (p + q) eps ||T||_F for the round-off of this sketch and of
     `numerical_rank` itself:
@@ -101,20 +104,24 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
       sigma_1(B) <= sigma_1(T).
 
     When neither holds, or A is too small for the sketch to pay, the
-    answer is the exact `numerical_rank`. max|A| also finds a non-finite A.
+    answer is the exact `numerical_rank`.
     """
     if not tau > 0:
         raise InvalidInput("tau must be positive")
     A = as_matrix(A)
+    n, s = min(A.shape), r + 1 + 10  # ten columns of oversampling
+    if r >= n:  # no rank exceeds min(p, q): only finiteness is left to check
+        _finite_matrix(A)
+        return True
     amax = max(float(A.max()), -float(A.min()))
     if not np.isfinite(amax):  # a NaN or an infinity anywhere in A
         _finite_matrix(A)
-    n, s = min(A.shape), r + 1 + 10  # ten columns of oversampling
-    if r >= n or amax == 0.0:
+    if amax == 0.0:
         return True
     if 2 * s < n:
         T = (A if A.shape[0] >= A.shape[1] else A.T) / amax
-        Y = T @ np.random.default_rng(0).standard_normal((n, s))
+        # Y = T Omega as (Omega^T T^T)^T: reads A in C order, gives QR a Fortran Y
+        Y = (np.random.default_rng(0).standard_normal((n, s)).T @ T.T).T
         Q = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
         Ub, sb, Vbt = np.linalg.svd(Q.T @ T, full_matrices=False)
         norm = float(np.linalg.norm(T))
@@ -133,11 +140,14 @@ def is_skmable(X, k: int, tau: float = RANK_TAU) -> bool:
 
     The answer is exactly `numerical_rank(Xc, tau) <= k - 1`. A randomized
     sketch of Xc certifies it in most cases (and k - 1 >= min(d, n) needs
-    no decomposition); only a singular value near the threshold, or a
-    matrix too small to sketch, computes the exact rank."""
-    X = _center_view(X)
-    check_k(k, 1)
-    return _rank_at_most(X.centered, k - 1, tau)
+    neither the centering nor a decomposition, only a finite X); only a
+    singular value near the threshold, or a matrix too small to sketch,
+    computes the exact rank."""
+    A = X.centered if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
+    if not (A.size and _is_int(k) and k - 1 >= min(A.shape)):
+        A = _center_view(X).centered
+        check_k(k, 1)
+    return _rank_at_most(A, k - 1, tau)
 
 
 def is_ti_lsdable(K, k: int, tau: float = RANK_TAU) -> bool:
@@ -184,7 +194,7 @@ def stability_audit(X, E, k: int) -> StabilityReport:
     if E.shape != X.values.shape:
         raise InvalidInput("perturbation must match the data shape")
     with np.errstate(over="ignore"):  # an infinite energy is rejected below
-        e2 = float(np.sum(E * E))
+        e2 = float(np.vdot(E, E))
     if not np.isfinite(e2):  # a finite sum has only finite terms
         _finite_matrix(E, "perturbation")
         raise NumericalFailure("perturbation energy ||E||_F^2 overflows")

@@ -258,7 +258,9 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Computed on the short side: Q holds the top-m eigenvectors (`eigh`) of
     the Gram matrix A A^T when p <= q, else of A^T A, and one Rayleigh-Ritz
     step takes the thin SVD of the m x long-side matrix Q^T A (or A Q).
-    That step reads sigma from A itself rather than from its square, and
+    That SVD runs on the tall transpose, which LAPACK reduces by QR first
+    (Chan's R-SVD, ACM TOMS 8(1), 1982), and returns V without a copy.
+    The Ritz step reads sigma from A itself rather than from its square, and
     gives U diag(sigma) V^T = Q Q^T A, so U^T A = diag(sigma) V^T holds to
     round-off and ||A - U diag(sigma) V^T||_F^2 misses the tail energy
     sum_{i>m} sigma_i^2 by at most about m eps ||A||_F^2 whatever the
@@ -283,15 +285,13 @@ def truncated_svd(A, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _finite_matrix(A)
         raise NumericalFailure("Gram matrix of finite data overflows")
     Q = np.linalg.eigh(gram)[1][:, -m:]
-    Ub, s, Vt = np.linalg.svd(Q.T @ short, full_matrices=False)
-    U, V = Q @ Ub, Vt.T.copy()
+    V, s, Ubt = np.linalg.svd((Q.T @ short).T, full_matrices=False)
+    U = Q @ Ubt.T
     if p > q:
         U, V = V, U
-    for j in range(m):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+    sign = np.where(U[np.argmax(np.abs(U), axis=0), np.arange(m)] < 0, -1.0, 1.0)
+    U *= sign
+    V *= sign
     return U, s, V
 
 

@@ -34,6 +34,8 @@ __all__ = [
     "infinity_bound",
 ]
 
+_RESIDUAL_BLOCK = 1 << 17  # floats per residual block: 1 MB of float64, about an L2 cache
+
 
 @dataclass(frozen=True)
 class RotationMatrix:
@@ -58,8 +60,10 @@ class RotationMatrix:
 def objective(X, F, G) -> float:
     """Squared Frobenius reconstruction error ||X - F G^T||_F^2.
 
-    The residual is formed in one d x n buffer: F G^T is overwritten by
-    X - F G^T and then squared in place before the sum.
+    The residual is formed in column blocks of at most _RESIDUAL_BLOCK
+    floats, or one column: each block's F G^T is overwritten by X - F G^T,
+    squared in place and summed, and the block sums are added in column
+    order. Data of one block gives the bits of the one-buffer formula.
     """
     A = X.values if isinstance(X, DataMatrix) else as_matrix(X, "data matrix")
     F = as_matrix(F, "prototypes")
@@ -70,10 +74,13 @@ def objective(X, F, G) -> float:
             f"shape mismatch: X is {d}x{n}, F is {F.shape[0]}x{F.shape[1]}, "
             f"G is {G.shape[0]}x{G.shape[1]}"
         )
-    R = F @ G.T
-    np.subtract(A, R, out=R)
-    np.multiply(R, R, out=R)
-    return float(R.sum())
+    step, total = max(1, _RESIDUAL_BLOCK // max(d, 1)), 0.0
+    for j in range(0, n, step):
+        R = F @ G[j:j + step].T
+        np.subtract(A[:, j:j + step], R, out=R)
+        np.multiply(R, R, out=R)
+        total += float(R.sum())
+    return total
 
 
 def infinity_bound(k: int) -> float:

@@ -57,11 +57,19 @@ class MvskmOptions(AmOptions):
         super().__post_init__()
         if self.lam is None:
             raise InvalidInput("mvskm requires a nonnegative lambda")
-        # finite exactly when 1/epsilon and lam/(2 epsilon) both are; Python
-        # floats overflow to inf without a warning
-        if not math.isfinite(max(1.0, float(self.lam) / 2.0) / float(self.epsilon)):
-            raise InvalidInput("1/epsilon and lam/(2 epsilon) must be finite, got "
-                               f"lam={self.lam!r}, epsilon={self.epsilon!r}")
+        _check_penalty(self.lam, self.epsilon)
+
+
+def _check_penalty(lam: float, epsilon: float) -> None:
+    """Raise InvalidInput unless epsilon > 0 and both 1/epsilon and
+    lam/(2 epsilon), the largest entries of D and of the F-update's
+    (lam/2) D, are finite; one quotient of Python floats tests both, and
+    it overflows to inf without a warning. Callers without a lam pass 0."""
+    if not epsilon > 0:
+        raise InvalidInput("epsilon must be strictly positive")
+    if not math.isfinite(max(1.0, float(lam) / 2.0) / float(epsilon)):
+        raise InvalidInput("1/epsilon and lam/(2 epsilon) must be finite, got "
+                           f"lam={lam!r}, epsilon={epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +97,10 @@ def volume_regularizer(F, epsilon: float) -> float:
     """sum_{i=1}^{k} log(sigma_i(F)^2 + epsilon), zeros included.
 
     F is d x k; when d < k the missing singular values count as zero, so
-    the rank-deficient directions contribute log(epsilon) each.
+    the rank-deficient directions contribute log(epsilon) each. epsilon
+    must be positive with 1/epsilon finite, as for `reweight_matrix`.
     """
-    if not epsilon > 0:
-        raise InvalidInput("epsilon must be strictly positive")
+    _check_penalty(0.0, epsilon)
     F = as_matrix(F, "prototypes")
     s = _padded_singular_values(F)
     return float(np.log(s * s + epsilon).sum())
@@ -125,15 +133,15 @@ def reweight_matrix(F, epsilon: float) -> np.ndarray:
 
     D is symmetric positive definite with eigenvalues in (0, 1/epsilon] and
     satisfies trace(D F^T F) = sum_i sigma_i^2 / (sigma_i^2 + epsilon).
+    An epsilon whose 1/epsilon overflows raises InvalidInput.
     """
-    if not epsilon > 0:
-        raise InvalidInput("epsilon must be strictly positive")
+    _check_penalty(0.0, epsilon)
     F = as_matrix(F, "prototypes")
     M = F.T @ F
     w, V = np.linalg.eigh(M)
     w = np.clip(w, 0.0, None)
     D = (V / (w + epsilon)) @ V.T
-    return 0.5 * (D + D.T)
+    return 0.5 * D + 0.5 * D.T  # halved first: 2/epsilon may overflow where 1/epsilon does not
 
 
 def mvskm_objective(Xc, F, G, lam: float, epsilon: float) -> float:

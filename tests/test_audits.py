@@ -52,6 +52,28 @@ class TestIsSkmable:
         with pytest.raises(InvalidInput):
             is_skmable(np.eye(2), 0)
 
+    def test_rank_bound_at_min_side_skips_centering(self, monkeypatch):
+        # k - 1 >= min(d, n) is answered without centering; X and tau are
+        # still checked, and k is checked as before
+        X = random_instance(2, 3, 20)
+        Xn = X.copy()
+        Xn[1, 7] = np.nan
+        monkeypatch.setattr(softkm.audits, "_center_view", lambda X: pytest.fail("centered"))
+        assert is_skmable(X, 4) and is_skmable(X, 40) and is_skmable(X.T, 4)
+        assert is_skmable(X.tolist(), 4) and is_skmable(center(X), 4)
+        for bad in (Xn, np.where(np.isnan(Xn), -np.inf, Xn)):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                is_skmable(bad, 4)
+        with pytest.raises(InvalidInput, match="tau must be positive"):
+            is_skmable(X, 4, tau=0.0)
+        monkeypatch.undo()
+        for k in (0, 4.0, True, None):
+            with pytest.raises(InvalidInput, match="k must be an integer >= 1"):
+                is_skmable(X, k)
+        for empty in (np.zeros((0, 3)), np.zeros((3, 0)), []):
+            with pytest.raises(InvalidInput, match="empty"):
+                is_skmable(empty, 5)
+
 
 class TestIsTiLsdable:
     def test_constant_kernel(self):
@@ -204,6 +226,15 @@ class TestStabilityAudit:
             rep = stability_audit(X, E, 3)
             assert rep.holds
             assert rep.slack >= -1e-8 * rep.rhs
+
+    def test_energy_of_any_layout(self):
+        # rhs = 2 ||E||_F^2 plus the clean optimum, whatever E's memory order
+        X = random_instance(9, 3, 40)
+        E = np.asfortranarray(random_instance(10, 3, 40))
+        clean = solve_global(X, 2)[0].objective
+        for Ei in (E, np.ascontiguousarray(E), np.hstack([E, E])[:, :40]):
+            rep = stability_audit(X, Ei, 2)
+            assert rep.rhs == pytest.approx(2.0 * float(np.sum(E * E)) + clean, rel=1e-13)
 
     def test_cancelling_perturbation(self):
         # E = -centered X collapses the perturbed data onto its mean

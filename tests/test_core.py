@@ -257,7 +257,8 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(5), m)
 
     @pytest.mark.parametrize("shape,m", [((40, 7), 3), ((7, 40), 3), ((12, 12), 5),
-                                         ((3, 200), 3), ((200, 3), 1)])
+                                         ((3, 200), 3), ((200, 3), 1),
+                                         ((9, 50_000), 4), ((50_000, 9), 4)])
     def test_matches_full_svd(self, shape, m):
         check_truncated_svd(random_instance(23, *shape), m)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (
     overflowing_perturbation,
     random_instance,
     random_orthogonal,
+    random_row_stochastic,
     three_clusters,
 )
 from softkm import (
@@ -21,6 +24,7 @@ from softkm import (
     solve_global,
     truncated_svd,
 )
+from softkm.global_solver import _RESIDUAL_BLOCK
 
 
 def tail_energy(X, k):
@@ -203,7 +207,42 @@ class TestRotateSolution:
             RotationMatrix(np.array([[2.0]]))
 
 
+def one_buffer_objective(X, F, G):
+    """The reference objective: the whole residual in one d x n buffer."""
+    R = F @ G.T
+    np.subtract(X, R, out=R)
+    np.multiply(R, R, out=R)
+    return float(R.sum())
+
+
 class TestObjective:
+    @pytest.mark.parametrize("d,n", [(3, 12), (2, 140), (10, 2000), (2, _RESIDUAL_BLOCK // 2)])
+    def test_one_block_is_the_one_buffer_formula(self, d, n):
+        X, F = random_instance(1, d, n, scale=3.0), random_instance(2, d, 3)
+        G = random_row_stochastic(3, n, 3)
+        assert objective(X, F, G) == one_buffer_objective(X, F, G)
+
+    @pytest.mark.parametrize("d,n", [(2, _RESIDUAL_BLOCK // 2 + 1), (3, 100_000),
+                                     (100, 5000), (_RESIDUAL_BLOCK + 5, 3)])
+    def test_blocks_agree_with_one_buffer(self, d, n):
+        X, F = random_instance(4, d, n, scale=3.0), random_instance(5, d, 4)
+        G = random_row_stochastic(6, n, 4)
+        ref = one_buffer_objective(X, F, G)
+        assert objective(X, F, G) == pytest.approx(ref, rel=1e-13)
+        X[d // 2, n - 1] = np.nan  # in the last block
+        assert np.isnan(objective(X, F, G))
+
+    def test_residual_peak_memory_is_one_block(self):
+        X, F = random_instance(7, 100, 20_000), random_instance(8, 100, 10)
+        G = random_row_stochastic(9, 20_000, 10)
+        tracemalloc.start()
+        try:
+            objective(X, F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # one d x n buffer would be 16 MB
+
     def test_worked_example(self):
         X = np.array([[-1.0, 1.0]])
         F = np.array([[1.0, -1.0]])

@@ -135,6 +135,16 @@ class TestReweightMatrix:
         with pytest.raises(InvalidInput):
             reweight_matrix(np.eye(2), -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_epsilon_with_infinite_inverse_rejected(self):
+        # the MvskmOptions rule: 1/epsilon must be finite, so D is
+        for f in (reweight_matrix, volume_regularizer):
+            with pytest.raises(InvalidInput, match="1/epsilon"):
+                f(np.zeros((2, 3)), 1e-320)
+        D = reweight_matrix(np.zeros((2, 3)), 1e-308)  # 2/epsilon overflows
+        np.testing.assert_array_equal(D, np.eye(3) / 1e-308)
+        assert np.isfinite(volume_regularizer(np.zeros((2, 3)), 1e-308))
+
 
 class TestMvskmObjective:
     def test_hand_example(self):
