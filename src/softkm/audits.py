@@ -14,12 +14,14 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    _BLOCK_FLOATS,
     RANK_TAU,
     DataMatrix,
     _center_view,
     _exactly_symmetric,
     _finite_matrix,
     _is_int,
+    _row_means,
     as_matrix,
     center,  # noqa: F401  (an attribute bench/harness.py wraps)
     check_k,
@@ -27,7 +29,7 @@ from .core import (
     numerical_rank,
 )
 from .errors import InvalidInput, NotPositiveSemidefinite, NumericalFailure
-from .global_solver import objective, rotate_solution, solve_global
+from .global_solver import _closed_form, objective, rotate_solution, solve_global
 
 __all__ = [
     "KernelMatrix",
@@ -80,9 +82,11 @@ class StabilityReport:
 
 
 def _as_kernel(K) -> np.ndarray:
+    """The validated kernel; a raw array is validated through a read-only
+    view, so the caller's array stays writeable."""
     if isinstance(K, KernelMatrix):
         return K.K
-    return KernelMatrix(K).K
+    return KernelMatrix(as_matrix(K, "kernel").view()).K
 
 
 def _rank_at_most(A, r: int, tau: float) -> bool:
@@ -103,6 +107,12 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
       inequality bounds sigma_{r+1}(T) by that residual and
       sigma_1(B) <= sigma_1(T).
 
+    T itself is never formed. Each of three passes (T Omega; Q^T T with
+    ||T||_F^2; the residual) streams it in row blocks of at most
+    _BLOCK_FLOATS floats through one reused buffer kept in A's orientation,
+    so a wide A is read by column blocks. A block holds exactly those rows
+    of A / max|A|, entries at most 1 in magnitude, so no sum overflows.
+
     When neither holds, or A is too small for the sketch to pay, the
     answer is the exact `numerical_rank`.
     """
@@ -119,17 +129,38 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
     if amax == 0.0:
         return True
     if 2 * s < n:
-        T = (A if A.shape[0] >= A.shape[1] else A.T) / amax
-        # Y = T Omega as (Omega^T T^T)^T: reads A in C order, gives QR a Fortran Y
-        Y = (np.random.default_rng(0).standard_normal((n, s)).T @ T.T).T
-        Q = scipy.linalg.qr(Y, mode="economic", check_finite=False)[0]
-        Ub, sb, Vbt = np.linalg.svd(Q.T @ T, full_matrices=False)
-        norm = float(np.linalg.norm(T))
+        tall, m = A.shape[0] >= A.shape[1], max(A.shape)
+        step = max(1, _BLOCK_FLOATS // n)
+        buf = np.empty(min(step, m) * n)
+
+        def blocks():
+            """(rows, T[rows], its entries) for each row block of T, held in buf."""
+            for i in range(0, m, step):
+                w = min(step, m - i)
+                Z = buf[:w * n].reshape((w, n) if tall else (n, w))
+                np.divide(A[i:i + w] if tall else A[:, i:i + w], amax, out=Z)
+                yield slice(i, i + w), (Z if tall else Z.T), buf[:w * n]
+
+        # Y = T Omega, held as Y^T: QR gets a Fortran Y and overwrites it with Q
+        Omega_t, Yt = np.random.default_rng(0).standard_normal((n, s)).T, np.empty((s, m))
+        for rows, T, _ in blocks():
+            np.matmul(Omega_t, T.T, out=Yt[:, rows])
+        Qt = scipy.linalg.qr(Yt.T, mode="economic", overwrite_a=True, check_finite=False)[0].T
+        QtT, sq = np.zeros((s, n)), 0.0
+        for rows, T, t in blocks():
+            QtT += Qt[:, rows] @ T
+            sq += float(t @ t)
+        Ub, sb, Vbt = np.linalg.svd(QtT, full_matrices=False)
+        norm = float(np.sqrt(sq))
         slack = sum(A.shape) * np.finfo(float).eps * norm
         if sb[r] > tau * norm + slack:
             return False
-        T -= (Q @ Ub[:, :r]) @ (sb[:r, None] * Vbt[:r])
-        if float(np.linalg.norm(T)) + slack <= tau * sb[0]:
+        Qr_t, M = Ub[:, :r].T @ Qt, sb[:r, None] * Vbt[:r]
+        sq = 0.0
+        for rows, T, t in blocks():
+            T -= Qr_t[:, rows].T @ M
+            sq += float(t @ t)
+        if float(np.sqrt(sq)) + slack <= tau * sb[0]:
             return True
     return numerical_rank(A, tau) <= r
 
@@ -187,8 +218,13 @@ def kernel_embed(K, tau: float = RANK_TAU) -> np.ndarray:
 
 def stability_audit(X, E, k: int) -> StabilityReport:
     """Evaluate the perturbed optimum on clean data against the bound
-    2 ||E||_F^2 plus the clean optimum. An energy ||E||_F^2 or an
-    objective that overflows raises NumericalFailure."""
+    2 ||E||_F^2 plus the clean optimum.
+
+    The clean problem is solved first and its centered copy freed; the
+    perturbed data X + E is then formed once and centered in place, with
+    the row means `center` would give, so the audit holds one d x n
+    working array beyond its inputs. An energy ||E||_F^2, a clean optimum
+    or a report value that overflows raises NumericalFailure."""
     X = _center_view(X)
     E = as_matrix(E, "perturbation")
     if E.shape != X.values.shape:
@@ -198,10 +234,18 @@ def stability_audit(X, E, k: int) -> StabilityReport:
     if not np.isfinite(e2):  # a finite sum has only finite terms
         _finite_matrix(E, "perturbation")
         raise NumericalFailure("perturbation energy ||E||_F^2 overflows")
-    sol_clean, _ = solve_global(X, k)
-    sol_pert, _ = solve_global(_center_view(X.values + E), k)
-    lhs = objective(X, sol_pert.prototypes, sol_pert.membership)
-    rhs = 2.0 * e2 + sol_clean.objective
+    optimum = solve_global(X, k)[0].objective
+    A = X.values
+    del X  # frees the clean centered copy of raw input
+    P = np.add(A, E, order="C")
+    mean = _row_means(P)
+    P -= mean[:, None]
+    F, G = _closed_form(P, mean, k)[:2]
+    with np.errstate(over="ignore"):  # an infinite report is rejected below
+        lhs = objective(A, F, G)
+    rhs = 2.0 * e2 + optimum
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):  # then slack = rhs - lhs is finite too
+        raise NumericalFailure("stability report of finite data overflows")
     slack = rhs - lhs
     return StabilityReport(lhs=lhs, rhs=rhs, holds=slack >= -1e-8 * rhs, slack=slack)
 

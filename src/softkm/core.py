@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 RANK_TAU = 1e-10  # relative threshold of every rank decision and of kernel_embed
+_BLOCK_FLOATS = 1 << 17  # floats per streamed block: 1 MB of float64, about an L2 cache
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -177,20 +178,26 @@ def _center_view(X) -> DataMatrix:
     when X is a C-contiguous float array, and a C-ordered copy otherwise.
 
     The row means come from the C layout either way, so they match
-    `center(X)` bit for bit. A finite mean has only finite terms, so the
-    full finiteness pass runs only when some mean is not finite; finite
-    rows whose sum overflows still pass.
+    `center(X)` bit for bit.
     """
     if isinstance(X, DataMatrix):
         return X
     A = np.ascontiguousarray(as_matrix(X, "data matrix")).view()
     if A.size == 0:
         raise InvalidInput("data matrix is empty")
+    mean = _row_means(A)
+    return DataMatrix(values=A, mean=mean, centered=A - mean[:, None])
+
+
+def _row_means(A: np.ndarray) -> np.ndarray:
+    """Row means of a nonempty C-ordered data matrix A. A finite mean has
+    only finite terms, so the full finiteness pass runs only when some mean
+    is not finite; finite rows whose sum overflows still pass."""
     with np.errstate(invalid="ignore"):  # only inf - inf, which is rejected below
         mean = A.mean(axis=1)
     if not np.isfinite(mean).all():
         _finite_matrix(A, "data matrix")
-    return DataMatrix(values=A, mean=mean, centered=A - mean[:, None])
+    return mean
 
 
 def double_center(K) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _BLOCK_FLOATS,
     DataMatrix,
     GlobalFactors,
     Solution,
@@ -33,9 +34,6 @@ __all__ = [
     "objective",
     "infinity_bound",
 ]
-
-_RESIDUAL_BLOCK = 1 << 17  # floats per residual block: 1 MB of float64, about an L2 cache
-
 
 @dataclass(frozen=True)
 class RotationMatrix:
@@ -60,7 +58,7 @@ class RotationMatrix:
 def objective(X, F, G) -> float:
     """Squared Frobenius reconstruction error ||X - F G^T||_F^2.
 
-    The residual is formed in column blocks of at most _RESIDUAL_BLOCK
+    The residual is formed in column blocks of at most _BLOCK_FLOATS
     floats, or one column: each block's F G^T is overwritten by X - F G^T,
     squared in place and summed, and the block sums are added in column
     order. Data of one block gives the bits of the one-buffer formula.
@@ -74,7 +72,7 @@ def objective(X, F, G) -> float:
             f"shape mismatch: X is {d}x{n}, F is {F.shape[0]}x{F.shape[1]}, "
             f"G is {G.shape[0]}x{G.shape[1]}"
         )
-    step, total = max(1, _RESIDUAL_BLOCK // max(d, 1)), 0.0
+    step, total = max(1, _BLOCK_FLOATS // max(d, 1)), 0.0
     for j in range(0, n, step):
         R = F @ G[j:j + step].T
         np.subtract(A[:, j:j + step], R, out=R)
@@ -97,7 +95,10 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     X : DataMatrix or array_like
         Feature-by-sample data; raw arrays are centered internally, through
         a read-only view when they are C-contiguous, and no result keeps a
-        reference to X.
+        reference to X. The centered copy is the one d x n working array:
+        the truncated SVD adds the Gram matrix of the short side, every
+        other array has at most k rows or columns, and the objective's
+        residual is formed in 1 MB blocks.
     k : int
         Number of prototypes. Requires k >= 1 and k - 1 <= min(d, n).
 
@@ -117,23 +118,29 @@ def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:
     raises NumericalFailure.
     """
     X = _center_view(X)
-    d, n = X.d, X.n
-    check_k(k, 1, min(d, n) + 1)
-    if k == 1:
-        U, sigma, V, B = np.zeros((d, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros((1, 0))
-    else:
-        U, sigma, V = truncated_svd(X.centered, k - 1)
-        B = simplex_complement_basis(k)
-    W = sigma[:, None] * V.T  # equals U^T Xc, (k-1) x n
-    r = float(np.sqrt((W * W).sum(axis=0)).max())
-    a = float(r * np.sqrt(k * (k - 1.0)))
-    F, G = _regular_simplex(U, W, B, a, X.mean)
-    gf = GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=r, a=a, S=a * B.T)
+    F, G, gf = _closed_form(X.centered, X.mean, k)
     with np.errstate(over="ignore"):  # an infinite objective is rejected below
         obj = objective(X, F, G)
     if not np.isfinite(obj):  # finite data and factors: the residual energy overflows
         raise NumericalFailure("objective ||X - F G^T||_F^2 of finite data overflows")
     return Solution(F, G, obj), gf
+
+
+def _closed_form(Xc, xbar, k: int) -> tuple[np.ndarray, np.ndarray, GlobalFactors]:
+    """Prototypes F, memberships G and the factors of the optimum for the
+    centered data Xc with row means xbar; Xc is read, never written."""
+    d, n = Xc.shape
+    check_k(k, 1, min(d, n) + 1)
+    if k == 1:
+        U, sigma, V, B = np.zeros((d, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros((1, 0))
+    else:
+        U, sigma, V = truncated_svd(Xc, k - 1)
+        B = simplex_complement_basis(k)
+    W = sigma[:, None] * V.T  # equals U^T Xc, (k-1) x n
+    r = float(np.sqrt((W * W).sum(axis=0)).max())
+    a = float(r * np.sqrt(k * (k - 1.0)))
+    F, G = _regular_simplex(U, W, B, a, xbar)
+    return F, G, GlobalFactors(U=U, sigma=sigma, V=V, B=B, r=r, a=a, S=a * B.T)
 
 
 def _regular_simplex(U, W, B, a: float, xbar) -> tuple[np.ndarray, np.ndarray]:

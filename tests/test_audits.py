@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,51 @@ class TestStabilityAudit:
             stability_audit(X, E, 3)
         with pytest.raises(InvalidInput, match="match the data shape"):
             stability_audit(X, E[:, :-1], 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_bound(self):
+        # ||E||_F^2 ~ 1.4e308 is finite, but 2 ||E||_F^2 plus the optimum is not
+        rng = np.random.default_rng(0)
+        X = 1e152 * rng.standard_normal((5, 20))
+        E = 1.2e153 * rng.standard_normal((5, 20))
+        with pytest.raises(NumericalFailure, match="overflows"):
+            stability_audit(X, E, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_perturbed_optimum_energy_may_overflow(self):
+        # at k = 1 and E = Xc the perturbed objective 4 ||Xc||_F^2 ~ 2.3e308
+        # overflows, but the audit never reads it and every value is finite
+        X = random_instance(1, 5, 20, scale=9e152)
+        rep = stability_audit(X, center(X).centered, 1)
+        assert rep.holds and np.isfinite([rep.lhs, rep.rhs, rep.slack]).all()
+
+
+class TestWorkingMemory:
+    """Each audit holds one working copy of its input: its tracemalloc peak
+    is at most 1.6 times the input array."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        X = random_instance(41, 100, 20_000)
+        Y = np.random.default_rng(43).standard_normal((9, 1000)) + 1.0
+        K = Y.T @ Y  # H K H has rank 9, so is_ti_lsdable(K, 10) runs the residual pass
+        return X, 0.1 * random_instance(42, 100, 20_000), 0.5 * (K + K.T)
+
+    @pytest.mark.parametrize("audit", ["stability_audit", "is_skmable", "is_ti_lsdable"])
+    def test_peak_is_one_working_copy(self, inputs, audit):
+        X, E, K = inputs
+        call, size = {
+            "stability_audit": (lambda: stability_audit(X, E, 10), X.nbytes),
+            "is_skmable": (lambda: is_skmable(X, 10), X.nbytes),
+            "is_ti_lsdable": (lambda: is_ti_lsdable(K, 10), K.nbytes),
+        }[audit]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * size
 
 
 def _unit(seed, shape):

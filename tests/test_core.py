@@ -12,8 +12,9 @@ from softkm import (
     simplex_complement_basis,
     truncated_svd,
 )
+import softkm.audits
 from softkm.audits import _rank_at_most
-from softkm.core import _SYMMETRY_TILE, _exactly_symmetric, double_center
+from softkm.core import _BLOCK_FLOATS, _SYMMETRY_TILE, _exactly_symmetric, double_center
 
 
 def check_truncated_svd(A, m, sigma_rtol=1e-12):
@@ -365,11 +366,12 @@ class TestNumericalRank:
             numerical_rank(random_instance(59, 3, 5) * np.array([1.0, bad, 1.0, 1.0, 1.0]))
 
 
-def spectrum_instance(kind, r, level, seed):
+def spectrum_instance(kind, r, level, seed, shape=None):
     """A matrix with singular values (1 ... 0.05 in r steps, level, level / 3)
     and zeros beyond; "symmetric" alternates the eigenvalue signs."""
     rng = np.random.default_rng(seed)
-    p, q = {"wide": (40, 120), "tall": (120, 40), "square": (70, 70), "symmetric": (70, 70)}[kind]
+    p, q = shape or {"wide": (40, 120), "tall": (120, 40), "square": (70, 70),
+                     "symmetric": (70, 70)}[kind]
     sigma = np.concatenate([np.geomspace(1.0, 0.05, r), [level, level / 3]])
     U = np.linalg.qr(rng.standard_normal((p, r + 2)))[0]
     if kind == "symmetric":
@@ -394,6 +396,25 @@ class TestRankAtMost:
                     if got != (numerical_rank(A, tau) <= r):
                         disagree.append((tau, level, scale, got))
         assert disagree == []
+
+    @pytest.mark.parametrize("kind", ["wide", "transposed", "symmetric"])
+    def test_agrees_across_ragged_blocks(self, kind, monkeypatch):
+        # T spans at least three row blocks and the last one is partial; away
+        # from the threshold the sketch decides, with no exact rank
+        exact = []
+        monkeypatch.setattr(softkm.audits, "numerical_rank",
+                            lambda A, tau: exact.append(A.shape) or numerical_rank(A, tau))
+        shape = (1500, 1500) if kind == "symmetric" else (40, 10_000)
+        step = _BLOCK_FLOATS // min(shape)
+        assert max(shape) > 2 * step and max(shape) % step
+        tau = 1e-10
+        for level in (tau / 4, 4 * tau):
+            base = spectrum_instance("wide" if kind == "transposed" else kind, 3, level,
+                                     seed=13, shape=shape)
+            for scale in (1e-200, 1.0, 1e300):
+                A = scale * (base.T if kind == "transposed" else base)
+                assert _rank_at_most(A, 3, tau) == (numerical_rank(A, tau) <= 3) == (level < tau)
+        assert exact == []
 
     def test_zero_matrix(self):
         for shape in ((40, 120), (70, 70), (3, 5)):

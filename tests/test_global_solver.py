@@ -24,7 +24,7 @@ from softkm import (
     solve_global,
     truncated_svd,
 )
-from softkm.global_solver import _RESIDUAL_BLOCK
+from softkm.core import _BLOCK_FLOATS
 
 
 def tail_energy(X, k):
@@ -216,14 +216,14 @@ def one_buffer_objective(X, F, G):
 
 
 class TestObjective:
-    @pytest.mark.parametrize("d,n", [(3, 12), (2, 140), (10, 2000), (2, _RESIDUAL_BLOCK // 2)])
+    @pytest.mark.parametrize("d,n", [(3, 12), (2, 140), (10, 2000), (2, _BLOCK_FLOATS // 2)])
     def test_one_block_is_the_one_buffer_formula(self, d, n):
         X, F = random_instance(1, d, n, scale=3.0), random_instance(2, d, 3)
         G = random_row_stochastic(3, n, 3)
         assert objective(X, F, G) == one_buffer_objective(X, F, G)
 
-    @pytest.mark.parametrize("d,n", [(2, _RESIDUAL_BLOCK // 2 + 1), (3, 100_000),
-                                     (100, 5000), (_RESIDUAL_BLOCK + 5, 3)])
+    @pytest.mark.parametrize("d,n", [(2, _BLOCK_FLOATS // 2 + 1), (3, 100_000),
+                                     (100, 5000), (_BLOCK_FLOATS + 5, 3)])
     def test_blocks_agree_with_one_buffer(self, d, n):
         X, F = random_instance(4, d, n, scale=3.0), random_instance(5, d, 4)
         G = random_row_stochastic(6, n, 4)

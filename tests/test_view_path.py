@@ -1,6 +1,7 @@
 """The closed-form solve and the audits center a read-only view of the
-caller's data rather than a copy, form the objective's residual in one
-buffer, and test finiteness on passes that already run. These tests pin
+caller's data rather than a copy, form the objective's residual in 1 MB
+column blocks, and test finiteness on passes that already run; the kernel
+audits validate a read-only view of the caller's kernel. These tests pin
 what that must not change: the caller's array, every output bit, and
 which inputs are rejected with which message."""
 
@@ -12,6 +13,8 @@ from softkm import (
     InvalidInput,
     center,
     is_skmable,
+    is_ti_lsdable,
+    kernel_embed,
     nonuniqueness_gap,
     objective,
     solve_global,
@@ -95,6 +98,17 @@ def test_view_path_leaves_no_alias():
         assert a.tobytes() == b.tobytes()
     assert (skmable, report.holds, gap > 0) == (False, True, True)
     assert not np.shares_memory(center(X).values, X)
+
+
+def test_kernel_path_leaves_the_kernel_writeable():
+    Y = random_instance(5, 3, 40) + 1.0
+    K = Y.T @ Y
+    K = 0.5 * (K + K.T)
+    before = K.copy()
+    decomposable = is_ti_lsdable(K, 4)
+    embedding = kernel_embed(K)
+    assert K.flags.writeable and K.tobytes() == before.tobytes()
+    assert decomposable and not np.shares_memory(embedding, K)
 
 
 def corrupted(kind):
