@@ -49,7 +49,7 @@ class KernelMatrix:
     K: np.ndarray
 
     def __post_init__(self):
-        K = as_matrix(self.K, "kernel")
+        K = as_matrix(self.K, "kernel").view()  # freezing it leaves the caller's array writeable
         if K.shape[0] != K.shape[1] or K.size == 0:
             raise InvalidInput("kernel must be a nonempty square matrix")
         if not np.all(np.isfinite(K)):
@@ -79,14 +79,6 @@ class StabilityReport:
     rhs: float
     holds: bool
     slack: float
-
-
-def _as_kernel(K) -> np.ndarray:
-    """The validated kernel; a raw array is validated through a read-only
-    view, so the caller's array stays writeable."""
-    if isinstance(K, KernelMatrix):
-        return K.K
-    return KernelMatrix(as_matrix(K, "kernel").view()).K
 
 
 def _rank_at_most(A, r: int, tau: float) -> bool:
@@ -188,7 +180,7 @@ def is_ti_lsdable(K, k: int, tau: float = RANK_TAU) -> bool:
     The answer is exactly `numerical_rank(H K H, tau) <= k - 1`, certified
     from a randomized sketch as in `is_skmable`, with the exact rank as the
     fallback."""
-    Km = _as_kernel(K)
+    Km = (K if isinstance(K, KernelMatrix) else KernelMatrix(K)).K
     check_k(k, 1)
     return _rank_at_most(double_center(Km), k - 1, tau)
 
@@ -201,7 +193,7 @@ def kernel_embed(K, tau: float = RANK_TAU) -> np.ndarray:
     X = diag(sqrt(lam)) Q^T with one row per retained eigenvalue. A zero
     kernel embeds as a single zero row.
     """
-    Km = _as_kernel(K)
+    Km = (K if isinstance(K, KernelMatrix) else KernelMatrix(K)).K
     if not tau > 0:
         raise InvalidInput("tau must be positive")
     w, Q = np.linalg.eigh(Km)

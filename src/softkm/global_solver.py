@@ -42,7 +42,7 @@ class RotationMatrix:
     R: np.ndarray
 
     def __post_init__(self):
-        R = as_matrix(self.R, "rotation")
+        R = as_matrix(self.R, "rotation").view()  # freezing it leaves the caller's array writeable
         if R.shape[0] != R.shape[1] or R.shape[0] < 1:
             raise InvalidInput("rotation must be a square matrix")
         if np.linalg.norm(R.T @ R - np.eye(R.shape[0])) > 1e-10:

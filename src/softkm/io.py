@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .am import AmOptions, _check_fields, solve_am
-from .core import DataMatrix, Solution, center
+from .core import DataMatrix, Solution, as_matrix, center
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
 from .metrics import accuracy, hard_assign, nmi, purity
@@ -206,12 +206,10 @@ def load_labels(path: str) -> np.ndarray:
 def save_matrix_csv(path: str, A) -> None:
     """Write a matrix row-wise with 12 significant digits per entry; a
     vector becomes one column."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != 2:
-        raise ValueError(f"Expected 1D or 2D array, got {A.ndim}D array instead")
-    _write_table(path, ",".join([_NUMBER] * A.shape[1]) + "\n", A)
+    M = as_matrix(A, "matrix")
+    if np.ndim(A) == 1:
+        M = M.T
+    _write_table(path, ",".join([_NUMBER] * M.shape[1]) + "\n", M)
 
 
 _WRITE_BLOCK = 4096

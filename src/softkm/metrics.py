@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .core import _finite_matrix, as_matrix
 from .errors import InvalidInput
 
 __all__ = ["hard_assign", "accuracy", "nmi", "purity"]
@@ -13,11 +14,9 @@ __all__ = ["hard_assign", "accuracy", "nmi", "purity"]
 def hard_assign(G) -> np.ndarray:
     """Row-wise argmax of a row-stochastic membership; ties go to the
     lowest index."""
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.size == 0:
-        raise InvalidInput("membership must be a nonempty 2-d array")
-    if not np.isfinite(G).all():
-        raise InvalidInput("membership must be finite")
+    G = _finite_matrix(G, "membership")
+    if G.size == 0:
+        raise InvalidInput("membership must be nonempty")
     if float(np.abs(G.sum(axis=1) - 1.0).max()) > 1e-6:
         raise InvalidInput("membership rows must sum to one")
     if float(G.min()) < -1e-6:
@@ -26,14 +25,14 @@ def hard_assign(G) -> np.ndarray:
 
 
 def _as_labels(v, name: str) -> np.ndarray:
+    af = as_matrix(v, name)  # numeric and not ragged
     a = np.asarray(v)
     if a.ndim != 1 or a.size == 0:
         raise InvalidInput(f"{name} must be a nonempty 1-d array")
     if not np.issubdtype(a.dtype, np.integer):
-        af = np.asarray(a, dtype=float)
         if not np.all((af == np.round(af)) & (np.abs(af) < 2.0**63)):
             raise InvalidInput(f"{name} must hold integers in the int64 range")
-        a = af.astype(np.int64)
+        a = af[0].astype(np.int64)
     if a.min() < 0:
         raise InvalidInput(f"{name} must be nonnegative")
     return a.astype(np.int64)

@@ -2,44 +2,21 @@
 simplex-constrained least-squares solve min ||x - F g||^2, g >= 0,
 1^T g = 1, behind the membership step of both alternating solvers.
 
-Every row is solved exactly. For small k, by face enumeration: the
-optimal set holds a point whose support has affinely independent
-prototypes, so at most d + 1 of them (Wolfe, "Finding the nearest point in
-a polytope", Math. Programming 1976). On that face the affine
-least-squares minimizer is unique and has nonnegative coefficients, so the
-cheapest feasible face minimizer over every face of at most min(k, d + 1)
-vertices is optimal. The enumeration runs while that face count is at
-most MAX_FACES.
-
-Above the bound each row is one nonnegative least-squares problem whose
-normalized solution is the simplex minimizer (_nnls_rows), solved by the
-finite active-set method of Lawson and Hanson ("Solving Least Squares
-Problems", 1974). On both paths no row ends worse than its warm start,
-which the alternating solvers rely on for their descent guarantees.
+Every sample is solved exactly by Wolfe's nearest-point algorithm (Math.
+Programming 1976), run for all samples at once on their shared Gram matrix
+M = F^T F, as in the fast NNLS of Bro and De Jong (J. Chemometrics 1997).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
-
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import DataMatrix, _finite_matrix
 from .errors import InvalidInput, NumericalFailure
 
 __all__ = ["project_simplex", "solve_membership"]
 
-# Largest face count solved by enumeration: every face at k = 7. Warm-call
-# ms, enumeration vs NNLS (one BLAS thread): at n = 2000, 127 faces (d = 10,
-# k = 7) take 44 vs 48 and 255 (k = 8) 82 vs 50; at n = 140, 14 faces take
-# 1.5 vs 2.9 and 63 faces 6.2 vs 3.4, as NNLS costs about 20 us a row.
-MAX_FACES = 127
-
-# Rows whose NNLS systems are built at once: 256 systems of (d + 1) x k, so
-# the buffer stays under 1 MB at d = k = 20 whatever the row count.
-_NNLS_BLOCK = 256
+_EPS = np.finfo(float).eps
 
 
 def project_simplex(v) -> np.ndarray:
@@ -71,125 +48,157 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return G
 
 
-def _face_count(d: int, k: int) -> int:
-    """Faces of the k-vertex simplex with at most min(k, d + 1) vertices."""
-    return sum(comb(k, s) for s in range(1, min(k, d + 1) + 1))
-
-
-def _exact_rows(F, P) -> np.ndarray:
-    """Solve every row of P exactly by enumerating the faces of the simplex.
-
-    F is d x k, P is m x d with one sample per row. Face S = (j0, rest)
-    gives the affine least-squares coefficients c = pinv(E_S) (x - f_j0)
-    with edge matrix E_S = [f_j - f_j0, j in rest], shared by all rows, and
-    the membership (1 - sum c, c) on S. Each row keeps the feasible
-    candidate (every coefficient >= 0) with the smallest residual; the
-    vertices are always feasible, and on a tie the smaller face, then the
-    lexicographically first, wins.
+def _affine_minimizers(Mx, C, S) -> tuple[np.ndarray, np.ndarray]:
+    """Column i of the k x m result minimizes g^T M g - 2 C_i^T g over
+    1^T g = 1 with g zero off the support S_i: it solves [M_SS 1; 1^T 0]
+    [g_S; nu] = [C_Si; 1]. The mask flags columns whose system is singular
+    to working precision. Each distinct support is factored once, padded
+    with the extra indices k, k + 1, ... of the identity around M in Mx.
     """
-    d, k = F.shape
-    m = P.shape[0]
-    G = np.zeros((m, k))
-    best = np.full(m, np.inf)
-    for s in range(1, min(k, d + 1) + 1):
-        faces = np.array(list(combinations(range(k), s)))
-        E = (F[:, faces[:, 1:]] - F[:, faces[:, :1]]).transpose(1, 0, 2)
-        for S, E_S, pinv_S in zip(faces, E, np.linalg.pinv(E)):
-            Y = P - F[:, S[0]]
-            C = Y @ pinv_S.T
-            c0 = 1.0 - C.sum(axis=1)
-            rows = np.flatnonzero((c0 >= 0.0) & np.all(C >= 0.0, axis=1))
-            R = Y[rows] - C[rows] @ E_S.T
-            res = np.einsum("ij,ij->i", R, R)
-            win = res < best[rows]
-            rows = rows[win]
-            best[rows] = res[win]
-            G[rows] = 0.0
-            G[rows, S[0]] = c0[rows]
-            G[np.ix_(rows, S[1:])] = C[rows]
-    return G
+    k, m = S.shape
+    key = (1 << np.arange(k)) @ S if k < 63 else np.ascontiguousarray(S.T).view(np.dtype((np.void, k))).ravel()
+    keys = np.sort(key)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    inv = keys.searchsorted(key)
+    first = np.empty(len(keys), dtype=int)
+    first[inv] = np.arange(m)
+    supports = S.take(first, axis=1).T
+    size = supports.sum(axis=1)
+    w = size.max()
+    pad = np.arange(w) >= size[:, None]
+    idx = np.where(pad, k + np.arange(w), np.argsort(~supports, axis=1, kind="stable")[:, :w])
+    B = np.zeros((len(keys), w + 1, w + 1))
+    B[:, :w, :w] = Mx[idx[:, :, None], idx[:, None, :]]
+    B[:, :w, w] = B[:, w, :w] = ~pad
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:  # a system is exactly singular: its inverse is infinite
+        Binv = np.stack([np.linalg.pinv(b) if np.linalg.matrix_rank(b) > w else b + np.inf for b in B])
+    # no entry of B exceeds max|Mx| >= 1, so this bounds its condition number
+    singular = ~(abs(Binv).reshape(len(keys), -1).max(axis=1) * (abs(Mx).max() * _EPS) < 1.0)
+    Binv[singular] = 0.0
+    # column i's prototype idx_j sits at flat index at[j, i] of Cx and V
+    at = (idx.T * m).take(inv, axis=1) + np.arange(m)
+    Cx, V = np.zeros((k + w, m)), np.zeros((k + w, m))
+    Cx[:k] = C
+    Binv = Binv.transpose(1, 2, 0).take(inv, axis=2)
+    V.put(at, (Binv[:w, :w] * Cx.take(at)).sum(axis=1) + Binv[:w, w])
+    return V[:k], singular.take(inv)
 
 
-def _nnls_rows(F, P) -> np.ndarray:
-    """Solve every row of P exactly as one nonnegative least-squares problem.
+def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
+    """Wolfe's cycles on every column of the feasible k x m weights W.
 
-    F is d x k, P is m x d with one sample per row. For a sample x let
-    A = (F - x 1^T) / s with s = max|F - x 1^T|, so ||x - F g|| = s ||A g||
-    on the simplex. The h >= 0 minimizing ||A h||^2 + (1^T h - 1)^2 is
-    h = g* / (1 + ||A g*||^2) with g* the simplex minimizer (write h = t g
-    with g on the simplex and minimize over t), so g* = h / 1^T h, and
-    1^T h >= 1 / (1 + d) > 0. Each row is thus the (d + 1) x k NNLS system
-    [A; 1^T] h = e_{d+1}, with no penalty weight to tune; s keeps it finite
-    from subnormal to near-overflow data. Row i is that h, left for the
-    caller to normalize; rows are independent, so no block size changes a bit.
+    A major cycle adds the prototype of most negative gradient to a
+    column's support S (C holds c_i = F^T x_i); a minor cycle moves to the
+    affine minimizer on S, or steps back to the first zero weight on the
+    way. A column flagged `major` sits at its affine minimizer. It is done
+    when no gap exceeds its tol, when S spans all dim dimensions, or when
+    the prototype just added is dependent on S or leaves at once (its gap
+    was round-off). A singular warm support restarts at its nearest vertex.
     """
-    d, k = F.shape
-    G = np.empty((len(P), k))
-    e = np.eye(d + 1)[d]
-    M = np.empty((min(len(P), _NNLS_BLOCK), d + 1, k))
-    M[:, d] = 1.0
-    for start in range(0, len(P), _NNLS_BLOCK):
-        B = P[start:start + _NNLS_BLOCK]
-        A = M[:len(B), :d]
-        with np.errstate(over="ignore"):  # an infinite difference is rejected below
-            np.subtract(F, B[:, :, None], out=A)
-        s = np.abs(A).max(axis=(1, 2))
-        if not np.isfinite(s).all():
-            bad = start + int(np.argmin(np.isfinite(s)))
-            raise NumericalFailure(f"prototypes minus sample {bad} overflow")
-        # every prototype equal to the sample: any membership is optimal
-        A /= np.where(s > 0.0, s, 1.0)[:, None, None]
-        for i, system in enumerate(M[:len(B)]):
-            try:
-                h = nnls(system, e)[0]
-            except RuntimeError as exc:
-                raise NumericalFailure(f"NNLS failed on row {start + i}: {exc}") from exc
-            G[start + i] = h
-    return G
+    k, m = C.shape
+    G = np.empty((k, m))
+    cols, S, done = np.arange(m), W > 0.0, np.zeros(m, dtype=bool)
+    Mx = np.eye(k + dim + 1)
+    Mx[:k, :k] = M
+    for step in range(2 * k * k):
+        if major.any():
+            # major cycle
+            grad = M @ W - C
+            gap = (W * grad).sum(axis=0) - grad
+            gap[S] = -np.inf
+            more = np.flatnonzero(major & (gap.max(axis=0) > tol))
+            S[gap.take(more, axis=1).argmax(axis=0), more] = True
+            done |= major
+            done[more] = False
+        if done.any():
+            G[:, cols[done]] = W.compress(done, axis=1)
+            left = np.flatnonzero(~done)
+            cols, W, S, C, tol = (a.take(left, axis=-1) for a in (cols, W, S, C, tol))
+            if not cols.size:
+                return G
+        # minor cycle
+        V, bad = _affine_minimizers(Mx, C, S)
+        if step == 0 and bad.any():
+            W[:, bad] = 0.0
+            W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, bad], axis=0), np.flatnonzero(bad)] = 1.0
+            V[:, bad], S[:, bad], bad[:] = W[:, bad], W[:, bad] > 0.0, False
+        D = V - W
+        block = S & (V <= 0.0)
+        ratio = np.where(block, W / np.maximum(-D, np.finfo(float).tiny), np.inf)
+        theta = ratio.min(axis=0)
+        stuck = bad | (theta == 0.0)
+        if stuck.any():
+            D[:, stuck], theta[stuck] = 0.0, np.inf
+        major = np.isinf(theta)
+        W += np.minimum(theta, 1.0) * D
+        np.putmask(W, block & (ratio == theta), 0.0)
+        np.maximum(W, 0.0, out=W)
+        S = W > 0.0
+        done = stuck | (np.count_nonzero(S, axis=0) > dim)
+        major &= ~done
+    raise NumericalFailure(f"membership solve did not finish in {step + 1} steps")
 
 
 def solve_membership(F, X, warm=None) -> np.ndarray:
     """Solve the simplex least-squares problem for every sample of X.
 
     Row i of the returned n x k matrix solves min ||x_i - F g||_2^2 on the
-    simplex exactly; the rows are independent, so the result does not
-    depend on batching. While the k-vertex simplex has at most MAX_FACES
-    faces of at most min(k, d + 1) vertices (every k <= 7, and larger k
-    when d is small) each row is solved by face enumeration, otherwise by
-    NNLS. `warm` optionally supplies a feasible n x k block of current
-    memberships; it is not a starting point, but a warm row that is
-    feasible and at least as good as the solved one is returned unchanged.
-    Every row is exactly feasible, its sum pinned to one.
+    simplex exactly, by Wolfe's method batched over the samples; the batch
+    changes only the rounding of shared matrix products. A row of the
+    optional feasible n x k `warm` starts from its support (a cold row at
+    its nearest prototype) and is kept when at least as good as the solved
+    row. When k > d + 1, F g is unique but g need not be: the returned g has
+    an affinely independent support, chosen by the start. Row sums are
+    pinned to one.
     """
     F = _finite_matrix(F, "prototypes")
     A = _finite_matrix(X.values if isinstance(X, DataMatrix) else X, "data matrix")
-    d, k = F.shape
-    m = A.shape[1]
-    if A.shape[0] != d:
-        raise InvalidInput("X and F must agree on the feature dimension")
+    (d, k), m = F.shape, A.shape[1]
+    if A.shape[0] != d or k == 0:
+        raise InvalidInput("F needs at least one column and the feature dimension of X")
     if warm is not None:
         warm = _finite_matrix(warm, "warm start")
         if warm.shape != (m, k):
             raise InvalidInput(f"warm start must be {m}x{k}")
-    P = A.T
-    Fr, Pr = F, P
+    # x - F g is unchanged by a common shift and scales with a common scale:
+    # the prototypes' spread, or more if squared sample norms could overflow
+    t = F.min(axis=1, keepdims=True) / 2 + F.max(axis=1, keepdims=True) / 2
+    Fs = F - t
+    with np.errstate(over="ignore"):  # an infinite difference is rejected below
+        As = A - t
+    far = np.abs(As).max(initial=0.0)
+    if not np.isfinite(far):
+        raise NumericalFailure("prototypes minus samples overflow")
+    s = max(np.abs(Fs).max(initial=0.0), far / np.sqrt(np.finfo(float).max / (d + k)))
+    if s > 0.0:  # else all points coincide and any membership is optimal
+        Fs, As = Fs / s, As / s
     if d >= k:
         # F g - f_0 lies in the span of the k - 1 edges f_j - f_0, so only
         # the samples' components in that span matter
-        Q = np.linalg.qr(F[:, 1:] - F[:, :1])[0]
-        Pr, Fr = (P - F[:, 0]) @ Q, Q.T @ (F - F[:, :1])
-    solve = _nnls_rows if _face_count(d, k) > MAX_FACES else _exact_rows
-    G = solve(Fr, Pr)
-    G /= G.sum(axis=1, keepdims=True)  # h / 1^T h on NNLS rows; pins enumerated sums
+        Q = np.linalg.qr(Fs[:, 1:] - Fs[:, :1])[0]
+        Fs, As = Q.T @ Fs, Q.T @ As
+    # sample i is column i of the k x m arrays below
+    dim, M, C = Fs.shape[0], Fs.T @ Fs, Fs.T @ As
+    W, start = np.zeros((k, m)), np.zeros(m, dtype=bool)
     if warm is not None:
-        # a warm row stays where it is feasible and at least as good
-        R, Rw = P - G @ F.T, P - warm @ F.T
-        keep = ((np.einsum("ij,ij->i", Rw, Rw) <= np.einsum("ij,ij->i", R, R))
-                & np.all(warm >= 0.0, axis=1)
-                & (np.abs(warm.sum(axis=1) - 1.0) <= 1e-12))
-        G[keep] = warm[keep]
-    finite = np.isfinite(G).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NumericalFailure(f"non-finite membership in row {bad}")
-    return G
+        Wt = np.ascontiguousarray(warm.T)
+        feasible = (Wt >= 0.0).all(axis=0) & (abs(Wt.sum(axis=0) - 1.0) <= 1e-12)
+        start = feasible & ((Wt != 0.0).sum(axis=0) <= dim + 1)
+        W = np.where(start, Wt, W)
+    cold = np.flatnonzero(~start)
+    if cold.size:
+        W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, cold], axis=0), cold] = 1.0
+    # the gap of a prototype sums about k + dim terms of size |f| (|f| + |x|)
+    r = np.sqrt(np.diag(M).max())
+    tol = (k + dim) * _EPS * r * (r + np.sqrt((As * As).sum(axis=0)))
+    G = _wolfe(M, C, tol, W, ~start, dim)
+    G /= G.sum(axis=0)
+    if warm is not None:
+        # the objective is g^T M g - 2 c^T g up to a per-sample constant
+        keep = feasible & (((M @ Wt - 2.0 * C) * Wt).sum(axis=0) <= ((M @ G - 2.0 * C) * G).sum(axis=0))
+        G = np.where(keep, Wt, G)
+    if not np.isfinite(G).all():
+        raise NumericalFailure(f"non-finite membership in row {np.argmin(np.isfinite(G).all(axis=0))}")
+    return np.ascontiguousarray(G.T)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import as_matrix
+from .core import _finite_matrix, check_k
 from .errors import InvalidInput
 
 __all__ = ["two_gaussians", "in_convex_hull"]
@@ -24,8 +24,8 @@ def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     penalty is then strong enough to pull prototypes inside the data hull,
     which the solver comparison relies on.
     """
-    if n < 2:
-        raise InvalidInput("need at least two samples")
+    check_k(n, 2, name="n")
+    check_k(seed, 0, name="seed")
     rng = np.random.default_rng(seed)
     sizes = (n // 2, n - n // 2)
     X = np.concatenate([np.asarray(c)[:, None] + SPREAD * rng.standard_normal((2, m))
@@ -36,8 +36,8 @@ def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def in_convex_hull(points, query) -> bool:
     """Whether `query` is a convex combination of the columns of `points`,
     decided by linear-programming feasibility."""
-    P = as_matrix(points, "points")
-    q = np.asarray(query, dtype=float).ravel()
+    P = _finite_matrix(points, "points")
+    q = _finite_matrix(query, "query").ravel()
     if q.shape[0] != P.shape[0]:
         raise InvalidInput("query dimension must match the points")
     d, n = P.shape

@@ -18,16 +18,24 @@ from conftest import random_instance
 from softkm.cli import _SPEC_KEYS, build_parser
 from softkm import (
     InvalidInput,
+    KernelMatrix,
     MvskmOptions,
+    RotationMatrix,
+    accuracy,
+    hard_assign,
+    in_convex_hull,
     infinity_bound,
     is_skmable,
     is_ti_lsdable,
+    nmi,
     nonuniqueness_gap,
+    save_matrix_csv,
     simplex_complement_basis,
     solve_am,
     solve_global,
     solve_mvskm,
     truncated_svd,
+    two_gaussians,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,3 +107,33 @@ TAKES_K = {
 def test_count_must_be_an_integer_in_range(name, k):
     with pytest.raises(InvalidInput):
         TAKES_K[name][0](k)
+
+
+# entry point -> a malformed argument that numpy or scipy would reject with
+# its own ValueError or TypeError
+MALFORMED = {
+    "hard_assign ragged": lambda tmp: hard_assign([[1.0, 0.0], [1.0]]),
+    "accuracy ragged": lambda tmp: accuracy([[0], [1, 2]], [0, 1]),
+    "nmi strings": lambda tmp: nmi(["a", "b"], [0, 1]),
+    "save_matrix_csv 3-d": lambda tmp: save_matrix_csv(str(tmp / "m.csv"), np.zeros((2, 2, 2))),
+    "save_matrix_csv ragged": lambda tmp: save_matrix_csv(str(tmp / "m.csv"), [[1.0, 2.0], [3.0]]),
+    "in_convex_hull ragged": lambda tmp: in_convex_hull(np.eye(2), [[1.0], [2.0, 3.0]]),
+    "in_convex_hull nan": lambda tmp: in_convex_hull(np.eye(2), [np.nan, 0.0]),
+    "two_gaussians fractional n": lambda tmp: two_gaussians(n=2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_invalid_input(case, tmp_path):
+    with pytest.raises(InvalidInput):
+        MALFORMED[case](tmp_path)
+
+
+@pytest.mark.parametrize("wrap, field", [(RotationMatrix, "R"), (KernelMatrix, "K")])
+def test_wrappers_leave_the_callers_array_writeable(wrap, field):
+    A = np.eye(3)
+    before = A.tobytes()
+    stored = getattr(wrap(A), field)
+    assert A.flags.writeable and A.tobytes() == before
+    assert not stored.flags.writeable
+    np.testing.assert_array_equal(stored, A)

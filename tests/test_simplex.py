@@ -1,3 +1,6 @@
+import builtins
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,10 +50,33 @@ def solve_one(F, x, g0=None):
     return solve_membership(F, np.reshape(x, (-1, 1)), warm=warm)[0]
 
 
-def enumerated(d, k):
-    """Whether solve_membership solves a d x k prototype matrix by face
-    enumeration rather than NNLS."""
-    return simplex_module._face_count(d, k) <= simplex_module.MAX_FACES
+def enumerate_faces(F, X):
+    """The simplex least-squares minimizer of every column of X, by face
+    enumeration: some minimizer has an affinely independent support of at
+    most d + 1 prototypes (Wolfe, Math. Programming 1976), and on that face
+    the affine least-squares minimizer is feasible. So the cheapest feasible
+    face minimizer over every face of at most min(k, d + 1) vertices is
+    optimal; on a tie the smaller face, then the lexicographically first,
+    wins. Face S = (j0, rest) gives the coefficients c = pinv(E_S) (x - f_j0)
+    with edge matrix E_S = [f_j - f_j0, j in rest]."""
+    d, k = F.shape
+    P = X.T
+    G = np.zeros((len(P), k))
+    best = np.full(len(P), np.inf)
+    for size in range(1, min(k, d + 1) + 1):
+        for S in itertools.combinations(range(k), size):
+            E = F[:, S[1:]] - F[:, S[:1]]
+            Y = P - F[:, S[0]]
+            C = Y @ np.linalg.pinv(E).T
+            c0 = 1.0 - C.sum(axis=1)
+            R = Y - C @ E.T
+            res = np.einsum("ij,ij->i", R, R)
+            rows = np.flatnonzero((c0 >= 0.0) & np.all(C >= 0.0, axis=1) & (res < best))
+            best[rows] = res[rows]
+            G[rows] = 0.0
+            G[rows, S[0]] = c0[rows]
+            G[np.ix_(rows, S[1:])] = C[rows]
+    return G / G.sum(axis=1, keepdims=True)
 
 
 def kkt_residuals(F, X, G):
@@ -200,11 +226,10 @@ class TestSolveSimplexLs:
         assert hits >= 10
 
     def test_kkt_residual_at_return(self):
-        # shapes above MAX_FACES, so NNLS answers
+        # wide shapes, k > d + 1
         rng = np.random.default_rng(40)
         for _ in range(30):
             d, k = int(rng.integers(4, 7)), int(rng.integers(9, 12))
-            assert not enumerated(d, k)
             F = rng.normal(size=(d, k))
             x = rng.normal(size=d) * 2.0
             g = solve_one(F, x)
@@ -212,7 +237,6 @@ class TestSolveSimplexLs:
         # a whole membership step from random data columns, the solvers' start
         X = rng.normal(size=(3, 2000))
         F = X[:, rng.choice(2000, size=10, replace=False)]
-        assert not enumerated(3, 10)
         assert kkt_residuals(F, X, solve_membership(F, X)).max() <= 1e-12
 
     def test_vertex_domination(self):
@@ -226,10 +250,10 @@ class TestSolveSimplexLs:
             assert np.linalg.norm(x - F @ g) <= best_vertex + 1e-9
 
     def test_warm_start_never_worse(self):
-        # (3, 4) is solved by face enumeration, (4, 9) by NNLS
+        # at (4, 9) the Dirichlet warm rows hold more prototypes than any
+        # affinely independent support, so they start cold
         rng = np.random.default_rng(60)
         for d, k in ((3, 4), (4, 9)):
-            assert enumerated(d, k) == (k == 4)
             F = rng.normal(size=(d, k))
             X = rng.normal(size=(d, 20))
             G0 = rng.dirichlet(np.ones(k), size=20)
@@ -241,8 +265,7 @@ class TestSolveSimplexLs:
     @pytest.mark.parametrize("k", [3, 9])
     def test_zero_prototypes_solved(self, k):
         # F = 0 fits every membership equally, so each row is any feasible
-        # one; k = 3 on two features is enumerated, k = 9 goes to NNLS
-        assert enumerated(2, k) == (k == 3)
+        # one; k = 9 on two features is a wide shape
         X = np.column_stack([np.zeros(2), np.random.default_rng(k).normal(size=(2, 5))])
         G = solve_membership(np.zeros((2, k)), X)
         assert G.shape == (6, k)
@@ -295,9 +318,8 @@ class TestSolveMembership:
             solve_membership(rng.normal(size=(2, 3)), rng.normal(size=(2, 5)),
                              warm=np.ones((4, 3)) / 3)
 
-    @pytest.mark.parametrize("d, k, nnls", [(2, 3, False), (9, 9, True)], ids=["exact", "nnls"])
-    def test_non_finite_warm_start_rejected(self, d, k, nnls):
-        assert enumerated(d, k) != nnls
+    @pytest.mark.parametrize("d, k", [(2, 3), (9, 9)], ids=["small", "large"])
+    def test_non_finite_warm_start_rejected(self, d, k):
         rng = np.random.default_rng(75)
         warm = np.full((5, k), 1.0 / k)
         warm[2, 0] = np.nan
@@ -330,16 +352,12 @@ class TestExactPath:
                                       "scaled_down", "scaled_up"])
     @pytest.mark.parametrize("k", range(2, 11))
     def test_matches_tight_pgd_reference(self, k, kind):
-        # each exact path is checked against the other: NNLS where
-        # solve_membership enumerates faces, forced enumeration where it runs
-        # NNLS (k >= 8 at d <= 3, where the face count stays small)
+        # every row against face enumeration, the brute-force oracle
         rng = np.random.default_rng(100 * k + len(kind))
         for d in (1, 2, 3, k + 2) if k <= 7 else (1, 2, 3):
             F, X = exact_path_case(rng, d, k, kind)
             G = solve_membership(F, X)
-            oracle = simplex_module._nnls_rows if enumerated(d, k) else simplex_module._exact_rows
-            G_ref = oracle(F, X.T)
-            G_ref /= G_ref.sum(axis=1, keepdims=True)  # as solve_membership does
+            G_ref = enumerate_faces(F, X)
             assert G.min() >= 0.0
             np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
             obj = np.sum((X - F @ G.T) ** 2, axis=0)
@@ -349,18 +367,12 @@ class TestExactPath:
             for i in range(X.shape[1]):
                 assert kkt_residual(F, X[:, i], G[i]) <= 1e-12, (d, i)
 
-    def test_dispatch(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise RuntimeError("NNLS reached")
-
-        monkeypatch.setattr(simplex_module, "_nnls_rows", refuse)
-        rng = np.random.default_rng(90)
-        for k in range(1, 8):
-            for d in (1, 3, 10, 40):
-                G = solve_membership(rng.normal(size=(d, k)), rng.normal(size=(d, 5)))
-                assert G.shape == (5, k)
-        with pytest.raises(RuntimeError, match="NNLS reached"):
-            solve_membership(rng.normal(size=(10, 9)), rng.normal(size=(10, 5)))
+    def test_step_bound_raises(self, monkeypatch):
+        # with the step bound cut to one step, a sample that needs more (from
+        # a vertex to an edge) raises instead of returning an unfinished row
+        monkeypatch.setattr(simplex_module, "range", lambda n: builtins.range(1), raising=False)
+        with pytest.raises(NumericalFailure, match="did not finish in 1 steps"):
+            solve_one(np.array([[0.0, 1.0]]), np.array([0.5]))
 
     def test_optimal_warm_rows_kept(self):
         rng = np.random.default_rng(91)
@@ -375,22 +387,56 @@ class TestExactPath:
         for warm in ([[-2.0, 3.0]], [[0.0, 3.0]]):
             np.testing.assert_array_equal(solve_membership(F, x, warm=warm), [[0.0, 1.0]])
 
+    def test_warm_start_reaches_the_optimum(self):
+        # a warm row starts from its support, not only from a kept row: after
+        # a change of F it must end at the new optimum
+        rng = np.random.default_rng(92)
+        for d, k in ((2, 3), (3, 8)):
+            F, X = rng.normal(size=(d, k)), rng.normal(size=(d, 40))
+            G = solve_membership(F, X)
+            F2 = F + 0.05 * rng.normal(size=F.shape)
+            G2 = solve_membership(F2, X, warm=G)
+            obj = np.sum((X - F2 @ G2.T) ** 2, axis=0)
+            ref = np.sum((X - F2 @ enumerate_faces(F2, X).T) ** 2, axis=0)
+            assert np.all(obj - ref <= 1e-12 * (ref + np.sum(X * X, axis=0)))
+
+    def test_singular_warm_support_restarts(self):
+        # a warm support on two equal prototypes is a singular system: the
+        # row starts over at its nearest prototype, never with a NaN
+        F = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        X = np.array([[0.2, 0.9], [0.1, 0.8]])
+        warm = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+        G = solve_membership(F, X, warm=warm)
+        assert np.isfinite(G).all() and G.min() >= 0.0
+        np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(F @ G.T, F @ enumerate_faces(F, X).T, atol=1e-15)
+
+    def test_empty_prototypes_rejected(self):
+        with pytest.raises(InvalidInput, match="at least one column"):
+            solve_membership(np.zeros((2, 0)), np.ones((2, 3)))
+
 
 class TestNnlsPath:
-    def test_block_size_does_not_change_bits(self, monkeypatch):
+    """Wide shapes (k > d + 1): each row is a nonnegative least-squares
+    problem with more unknowns than equations, whose minimizer need not be
+    unique."""
+
+    def test_row_alone_matches_batch(self):
+        # rows are solved independently; only the rounding of the shared
+        # matrix products depends on the batch
         rng = np.random.default_rng(93)
         F, X = rng.normal(size=(3, 10)), rng.normal(size=(3, 300))
-        assert not enumerated(3, 10)
         G = solve_membership(F, X)
-        for block in (1, 7):
-            monkeypatch.setattr(simplex_module, "_NNLS_BLOCK", block)
-            np.testing.assert_array_equal(solve_membership(F, X), G)
+        F2 = F + 0.01 * rng.normal(size=F.shape)
+        G2 = solve_membership(F2, X, warm=G)
+        for i in (0, 1, 150, 299):
+            np.testing.assert_allclose(solve_one(F, X[:, i]), G[i], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(solve_one(F2, X[:, i], G[i]), G2[i], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("scale", [1e307, 1e-310])
     def test_extreme_scales_feasible(self, scale):
         rng = np.random.default_rng(94)
         F, X = rng.normal(size=(2, 9)) * scale, rng.normal(size=(2, 20)) * scale
-        assert not enumerated(2, 9)
         G = solve_membership(F, X)
         assert np.isfinite(G).all() and G.min() >= 0.0
         np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
@@ -402,14 +448,33 @@ class TestNnlsPath:
         with pytest.raises(NumericalFailure, match="overflow"):
             solve_one(F, np.array([-1.7e308, 0.0]))
 
-    def test_nnls_error_is_numerical_failure(self, monkeypatch):
-        def exhausted(A, b):
-            raise RuntimeError("Maximum number of iterations reached.")
-
-        monkeypatch.setattr(simplex_module, "nnls", exhausted)
+    @pytest.mark.parametrize("kind", ["duplicate", "coincident", "near_duplicate"])
+    def test_duplicate_and_coincident_prototypes_feasible(self, kind):
         rng = np.random.default_rng(96)
-        with pytest.raises(NumericalFailure, match="NNLS failed on row 0"):
-            solve_membership(rng.normal(size=(2, 9)), rng.normal(size=(2, 4)))
+        F, X = rng.normal(size=(2, 9)), rng.normal(size=(2, 50))
+        if kind == "duplicate":
+            F[:, 1::2] = F[:, 0::2][:, :4]
+        elif kind == "coincident":
+            F[:, 3:] = F[:, :1]
+        else:
+            F[:, 1] = F[:, 0] + 1e-15
+        X[:, :9] = F  # samples on the prototypes themselves
+        G = solve_membership(F, X)
+        assert np.isfinite(G).all() and G.min() >= 0.0
+        np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        obj = np.sum((X - F @ G.T) ** 2, axis=0)
+        ref = np.sum((X - F @ enumerate_faces(F, X).T) ** 2, axis=0)
+        assert np.all(obj - ref <= 1e-12 * (ref + np.sum(X * X, axis=0)))
+        G2 = solve_membership(F, X, warm=rng.dirichlet(np.ones(9), size=50))
+        assert np.isfinite(G2).all() and G2.min() >= 0.0
+
+    def test_more_prototypes_than_key_bits(self):
+        # k = 70 supports do not fit one integer key
+        rng = np.random.default_rng(97)
+        F, X = rng.normal(size=(2, 70)), rng.normal(size=(2, 40)) * 2.0
+        G = solve_membership(F, X)
+        assert G.min() >= 0.0 and np.count_nonzero(G, axis=1).max() <= 3
+        assert kkt_residuals(F, X, G).max() <= 1e-12
 
     def test_sample_on_collapsed_prototypes(self):
         # every prototype equals the sample, so any membership is optimal
