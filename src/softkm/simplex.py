@@ -16,7 +16,7 @@ from .errors import InvalidInput, NumericalFailure
 
 __all__ = ["project_simplex", "solve_membership"]
 
-_EPS = np.finfo(float).eps
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def project_simplex(v) -> np.ndarray:
@@ -81,8 +81,8 @@ def _affine_minimizers(Mx, C, S) -> tuple[np.ndarray, np.ndarray]:
     at = (idx.T * m).take(inv, axis=1) + np.arange(m)
     Cx, V = np.zeros((k + w, m)), np.zeros((k + w, m))
     Cx[:k] = C
-    Binv = Binv.transpose(1, 2, 0).take(inv, axis=2)
-    V.put(at, (Binv[:w, :w] * Cx.take(at)).sum(axis=1) + Binv[:w, w])
+    Binv = Binv[:, :w].transpose(1, 2, 0).take(inv, axis=2)
+    V.put(at, (Binv[:, :w] * Cx.take(at)).sum(axis=1) + Binv[:, w])
     return V[:k], singular.take(inv)
 
 
@@ -107,7 +107,7 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
             # major cycle
             grad = M @ W - C
             gap = (W * grad).sum(axis=0) - grad
-            gap[S] = -np.inf
+            np.putmask(gap, S, -np.inf)
             more = np.flatnonzero(major & (gap.max(axis=0) > tol))
             S[gap.take(more, axis=1).argmax(axis=0), more] = True
             done |= major
@@ -126,7 +126,7 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
             V[:, bad], S[:, bad], bad[:] = W[:, bad], W[:, bad] > 0.0, False
         D = V - W
         block = S & (V <= 0.0)
-        ratio = np.where(block, W / np.maximum(-D, np.finfo(float).tiny), np.inf)
+        ratio = np.where(block, W / np.maximum(-D, _TINY), np.inf)
         theta = ratio.min(axis=0)
         stuck = bad | (theta == 0.0)
         if stuck.any():
@@ -136,7 +136,7 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
         np.putmask(W, block & (ratio == theta), 0.0)
         np.maximum(W, 0.0, out=W)
         S = W > 0.0
-        done = stuck | (np.count_nonzero(S, axis=0) > dim)
+        done = stuck | (S.sum(axis=0) > dim)
         major &= ~done
     raise NumericalFailure(f"membership solve did not finish in {step + 1} steps")
 
@@ -184,8 +184,8 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
     W, start = np.zeros((k, m)), np.zeros(m, dtype=bool)
     if warm is not None:
         Wt = np.ascontiguousarray(warm.T)
-        feasible = (Wt >= 0.0).all(axis=0) & (abs(Wt.sum(axis=0) - 1.0) <= 1e-12)
-        start = feasible & ((Wt != 0.0).sum(axis=0) <= dim + 1)
+        feasible = (Wt.min(axis=0) >= 0.0) & (abs(Wt.sum(axis=0) - 1.0) <= 1e-12)
+        start = feasible & (np.count_nonzero(Wt, axis=0) <= dim + 1)
         W = np.where(start, Wt, W)
     cold = np.flatnonzero(~start)
     if cold.size:
