@@ -48,12 +48,13 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return G
 
 
-def _affine_minimizers(Mx, C, S) -> tuple[np.ndarray, np.ndarray]:
+def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     """Column i of the k x m result minimizes g^T M g - 2 C_i^T g over
     1^T g = 1 with g zero off the support S_i: it solves [M_SS 1; 1^T 0]
     [g_S; nu] = [C_Si; 1]. The mask flags columns whose system is singular
-    to working precision. Each distinct support is factored once, padded
-    with the extra indices k, k + 1, ... of the identity around M in Mx.
+    to working precision. Mb is [M 1; 1^T 0] with identity rows and columns
+    for extra indices k, k + 1, ... before the border; each distinct
+    support, padded with them, is factored once.
     """
     k, m = S.shape
     key = (1 << np.arange(k)) @ S if k < 63 else np.ascontiguousarray(S.T).view(np.dtype((np.void, k))).ravel()
@@ -63,19 +64,17 @@ def _affine_minimizers(Mx, C, S) -> tuple[np.ndarray, np.ndarray]:
     first = np.empty(len(keys), dtype=int)
     first[inv] = np.arange(m)
     supports = S.take(first, axis=1).T
-    size = supports.sum(axis=1)
-    w = size.max()
-    pad = np.arange(w) >= size[:, None]
-    idx = np.where(pad, k + np.arange(w), np.argsort(~supports, axis=1, kind="stable")[:, :w])
-    B = np.zeros((len(keys), w + 1, w + 1))
-    B[:, :w, :w] = Mx[idx[:, :, None], idx[:, None, :]]
-    B[:, :w, w] = B[:, w, :w] = ~pad
+    w = supports.sum(axis=1).max()
+    pad = np.concatenate((supports, np.ones((len(keys), w), dtype=bool)), axis=1)
+    idx = np.argsort(~pad, axis=1, kind="stable")[:, :w]  # the support, then k, k + 1, ...
+    ix = np.concatenate((idx, np.full((len(keys), 1), len(Mb) - 1)), axis=1)
+    B = Mb[ix[:, :, None], ix[:, None, :]]
     try:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:  # a system is exactly singular: its inverse is infinite
         Binv = np.stack([np.linalg.pinv(b) if np.linalg.matrix_rank(b) > w else b + np.inf for b in B])
-    # no entry of B exceeds max|Mx| >= 1, so this bounds its condition number
-    singular = ~(abs(Binv).reshape(len(keys), -1).max(axis=1) * (abs(Mx).max() * _EPS) < 1.0)
+    # no entry of B exceeds max|Mb| >= 1, so this bounds its condition number
+    singular = ~(abs(Binv).reshape(len(keys), -1).max(axis=1) * (abs(Mb).max() * _EPS) < 1.0)
     Binv[singular] = 0.0
     # column i's prototype idx_j sits at flat index at[j, i] of Cx and V
     at = (idx.T * m).take(inv, axis=1) + np.arange(m)
@@ -100,8 +99,9 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
     k, m = C.shape
     G = np.empty((k, m))
     cols, S, done = np.arange(m), W > 0.0, np.zeros(m, dtype=bool)
-    Mx = np.eye(k + dim + 1)
-    Mx[:k, :k] = M
+    Mb = np.eye(k + dim + 2)  # a support holds at most dim + 1 prototypes
+    Mb[:k, :k], Mb[-1, -1] = M, 0.0
+    Mb[:k, -1] = Mb[-1, :k] = 1.0
     for step in range(2 * k * k):
         if major.any():
             # major cycle
@@ -119,7 +119,7 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
             if not cols.size:
                 return G
         # minor cycle
-        V, bad = _affine_minimizers(Mx, C, S)
+        V, bad = _affine_minimizers(Mb, C, S)
         if step == 0 and bad.any():
             W[:, bad] = 0.0
             W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, bad], axis=0), np.flatnonzero(bad)] = 1.0
