@@ -65,8 +65,8 @@ def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     first[inv] = np.arange(m)
     supports = S.take(first, axis=1).T
     w = supports.sum(axis=1).max()
-    pad = np.concatenate((supports, np.ones((len(keys), w), dtype=bool)), axis=1)
-    idx = np.argsort(~pad, axis=1, kind="stable")[:, :w]  # the support, then k, k + 1, ...
+    padded = np.concatenate((supports, np.ones((len(keys), w), dtype=bool)), axis=1)
+    idx = np.argsort(~padded, axis=1, kind="stable")[:, :w]  # the support, then k, k + 1, ...
     ix = np.concatenate((idx, np.full((len(keys), 1), len(Mb) - 1)), axis=1)
     B = Mb[ix[:, :, None], ix[:, None, :]]
     try:
@@ -102,7 +102,7 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
     Mb = np.eye(k + dim + 2)  # a support holds at most dim + 1 prototypes
     Mb[:k, :k], Mb[-1, -1] = M, 0.0
     Mb[:k, -1] = Mb[-1, :k] = 1.0
-    for step in range(2 * k * k):
+    for step in range(2 * k * k):  # Wolfe's method is finite: this only stops a cycle of round-off
         if major.any():
             # major cycle
             grad = M @ W - C

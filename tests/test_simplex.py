@@ -430,8 +430,8 @@ class TestNnlsPath:
         F2 = F + 0.01 * rng.normal(size=F.shape)
         G2 = solve_membership(F2, X, warm=G)
         for i in (0, 1, 150, 299):
-            np.testing.assert_allclose(solve_one(F, X[:, i]), G[i], rtol=0, atol=1e-15)
-            np.testing.assert_allclose(solve_one(F2, X[:, i], G[i]), G2[i], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(solve_one(F, X[:, i]), G[i], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(solve_one(F2, X[:, i], G[i]), G2[i], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("scale", [1e307, 1e-310])
     def test_extreme_scales_feasible(self, scale):
