@@ -367,6 +367,16 @@ class TestExactPath:
             for i in range(X.shape[1]):
                 assert kkt_residual(F, X[:, i], G[i]) <= 1e-12, (d, i)
 
+    def test_every_small_shape_solved(self):
+        # one path from a single prototype to seven, in one to forty dimensions
+        rng = np.random.default_rng(90)
+        for k in range(1, 8):
+            for d in (1, 3, 10, 40):
+                F, X = rng.normal(size=(d, k)), rng.normal(size=(d, 5))
+                G = solve_membership(F, X)
+                assert G.shape == (5, k) and G.min() >= 0.0
+                assert kkt_residuals(F, X, G).max() <= 1e-12
+
     def test_step_bound_raises(self, monkeypatch):
         # with the step bound cut to one step, a sample that needs more (from
         # a vertex to an edge) raises instead of returning an unfinished row
