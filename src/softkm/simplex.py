@@ -116,8 +116,8 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
             G[:, cols[done]] = W.compress(done, axis=1)
             left = np.flatnonzero(~done)
             cols, W, S, C, tol = (a.take(left, axis=-1) for a in (cols, W, S, C, tol))
-            if not cols.size:
-                return G
+        if not cols.size:
+            return G
         # minor cycle
         V, bad = _affine_minimizers(Mb, C, S)
         if step == 0 and bad.any():

@@ -421,6 +421,9 @@ class TestExactPath:
         np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(F @ G.T, F @ enumerate_faces(F, X).T, atol=1e-15)
 
+    def test_no_samples(self):
+        assert solve_membership(np.eye(2), np.zeros((2, 0))).shape == (0, 2)
+
     def test_empty_prototypes_rejected(self):
         with pytest.raises(InvalidInput, match="at least one column"):
             solve_membership(np.zeros((2, 0)), np.ones((2, 3)))
