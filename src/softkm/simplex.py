@@ -49,54 +49,51 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
 
 
 def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
-    """Column i of the k x m result minimizes g^T M g - 2 C_i^T g over
-    1^T g = 1 with g zero off the support S_i: it solves [M_SS 1; 1^T 0]
-    [g_S; nu] = [C_Si; 1]. The mask flags columns whose system is singular
-    to working precision. Mb is [M 1; 1^T 0] with identity rows and columns
-    for extra indices k, k + 1, ... before the border; each distinct
-    support, padded with them, is factored once.
-    """
+    """Column i of the k x m result minimizes g^T M g - 2 C_i^T g subject
+    to 1^T g = 1 and g = 0 off the support S_i, from the bordered system
+    [M_SS 1; 1^T 0][g_S; nu] = [C_Si; 1]. The mask flags the columns whose
+    system is singular to working precision. Mb is [M 1; 1^T 0] with
+    identity rows and columns for extra indices k, k + 1, ... before the
+    border; each distinct support, padded with them, is factored once."""
     k, m = S.shape
-    key = (1 << np.arange(k)) @ S if k < 63 else np.ascontiguousarray(S.T).view(np.dtype((np.void, k))).ravel()
-    keys = np.sort(key)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    inv = keys.searchsorted(key)
-    first = np.empty(len(keys), dtype=int)
-    first[inv] = np.arange(m)
-    supports = S.take(first, axis=1).T
+    order = np.lexsort(S)  # columns with equal supports side by side
+    new = np.concatenate(([True], (S[:, order[1:]] != S[:, order[:-1]]).any(axis=0)))
+    inv = np.empty(m, dtype=int)
+    inv[order] = np.cumsum(new) - 1
+    supports = S.take(order.compress(new), axis=1).T
     w = supports.sum(axis=1).max()
-    padded = np.concatenate((supports, np.ones((len(keys), w), dtype=bool)), axis=1)
+    padded = np.concatenate((supports, np.ones((len(supports), w), dtype=bool)), axis=1)
     idx = np.argsort(~padded, axis=1, kind="stable")[:, :w]  # the support, then k, k + 1, ...
-    ix = np.concatenate((idx, np.full((len(keys), 1), len(Mb) - 1)), axis=1)
+    ix = np.concatenate((idx, np.full((len(idx), 1), len(Mb) - 1)), axis=1)
     B = Mb[ix[:, :, None], ix[:, None, :]]
     try:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:  # a system is exactly singular: its inverse is infinite
-        Binv = np.stack([np.linalg.pinv(b) if np.linalg.matrix_rank(b) > w else b + np.inf for b in B])
+        Binv = np.stack([np.linalg.inv(b) if np.linalg.matrix_rank(b) > w else b + np.inf for b in B])
     # no entry of B exceeds max|Mb| >= 1, so this bounds its condition number
-    singular = ~(abs(Binv).reshape(len(keys), -1).max(axis=1) * (abs(Mb).max() * _EPS) < 1.0)
+    singular = ~(abs(Binv).reshape(len(B), -1).max(axis=1) * (abs(Mb).max() * _EPS) < 1.0)
     Binv[singular] = 0.0
     # column i's prototype idx_j sits at flat index at[j, i] of Cx and V
     at = (idx.T * m).take(inv, axis=1) + np.arange(m)
-    Cx, V = np.zeros((k + w, m)), np.zeros((k + w, m))
-    Cx[:k] = C
+    Cx, V = np.concatenate((C, np.zeros((w, m)))), np.zeros((k + w, m))
     Binv = Binv[:, :w].transpose(1, 2, 0).take(inv, axis=2)
     V.put(at, (Binv[:, :w] * Cx.take(at)).sum(axis=1) + Binv[:, w])
     return V[:k], singular.take(inv)
 
 
-def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
+def _wolfe(F, X, M, C, tol, W, major) -> np.ndarray:
     """Wolfe's cycles on every column of the feasible k x m weights W.
 
     A major cycle adds the prototype of most negative gradient to a
-    column's support S (C holds c_i = F^T x_i); a minor cycle moves to the
-    affine minimizer on S, or steps back to the first zero weight on the
-    way. A column flagged `major` sits at its affine minimizer. It is done
-    when no gap exceeds its tol, when S spans all dim dimensions, or when
-    the prototype just added is dependent on S or leaves at once (its gap
-    was round-off). A singular warm support restarts at its nearest vertex.
+    column's support S (C holds c_i = F^T x_i for the dim x m samples X); a
+    minor cycle moves to the affine minimizer on S, or steps back to the
+    first zero weight on the way. A column flagged `major` sits at its
+    affine minimizer. It is done when no gap exceeds its tol, when S spans
+    all dim dimensions, or when the prototype just added leaves at once
+    (its gap was round-off). A singular warm support restarts at its
+    nearest vertex.
     """
-    k, m = C.shape
+    (dim, k), m = F.shape, C.shape[1]
     G = np.empty((k, m))
     cols, S, done = np.arange(m), W > 0.0, np.zeros(m, dtype=bool)
     Mb = np.eye(k + dim + 2)  # a support holds at most dim + 1 prototypes
@@ -121,16 +118,23 @@ def _wolfe(M, C, tol, W, major, dim) -> np.ndarray:
         # minor cycle
         V, bad = _affine_minimizers(Mb, C, S)
         if step == 0 and bad.any():
-            W[:, bad] = 0.0
-            W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, bad], axis=0), np.flatnonzero(bad)] = 1.0
+            W[:, bad] = np.eye(k)[:, np.argmin(np.diag(M)[:, None] - 2.0 * C[:, bad], axis=0)]
             V[:, bad], S[:, bad], bad[:] = W[:, bad], W[:, bad] > 0.0, False
+        if bad.any():
+            # the prototype just added nearly depends on the rest of S: solve
+            # from S's edges f_j - f_j0, whose condition is the root of M_SS's
+            i = np.argsort(~S[:, bad], axis=0, kind="stable")  # the support first
+            on = np.take_along_axis(S[:, bad], i[1:], axis=0)
+            E = ((F[:, i[1:]] - F[:, i[:1]]) * on).transpose(2, 0, 1)
+            lam = on * (np.linalg.pinv(E) @ (X[:, cols[bad]] - F[:, i[0]]).T[:, :, None])[:, :, 0].T
+            lam = np.concatenate(([1.0 - lam.sum(axis=0)], lam))
+            V[:, bad] = np.take_along_axis(lam, np.argsort(i, axis=0), axis=0)
         D = V - W
         block = S & (V <= 0.0)
         ratio = np.where(block, W / np.maximum(-D, _TINY), np.inf)
         theta = ratio.min(axis=0)
-        stuck = bad | (theta == 0.0)
-        if stuck.any():
-            D[:, stuck], theta[stuck] = 0.0, np.inf
+        stuck = theta == 0.0
+        D[:, stuck], theta[stuck] = 0.0, np.inf
         major = np.isinf(theta)
         W += np.minimum(theta, 1.0) * D
         np.putmask(W, block & (ratio == theta), 0.0)
@@ -187,13 +191,11 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
         feasible = (Wt.min(axis=0) >= 0.0) & (abs(Wt.sum(axis=0) - 1.0) <= 1e-12)
         start = feasible & (np.count_nonzero(Wt, axis=0) <= dim + 1)
         W = np.where(start, Wt, W)
-    cold = np.flatnonzero(~start)
-    if cold.size:
-        W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, cold], axis=0), cold] = 1.0
+    W[:, ~start] = np.eye(k)[:, np.argmin(np.diag(M)[:, None] - 2.0 * C[:, ~start], axis=0)]
     # the gap of a prototype sums about k + dim terms of size |f| (|f| + |x|)
     r = np.sqrt(np.diag(M).max())
     tol = (k + dim) * _EPS * r * (r + np.sqrt((As * As).sum(axis=0)))
-    G = _wolfe(M, C, tol, W, ~start, dim)
+    G = _wolfe(Fs, As, M, C, tol, W, ~start)
     G /= G.sum(axis=0)
     if warm is not None:
         # the objective is g^T M g - 2 c^T g up to a per-sample constant

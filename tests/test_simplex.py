@@ -421,6 +421,26 @@ class TestExactPath:
         np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(F @ G.T, F @ enumerate_faces(F, X).T, atol=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+    def test_warm_row_moves_to_a_near_duplicate(self, delta):
+        # each warm row sits at its optimum on prototypes 0 and 1; prototype 2
+        # is prototype 0 moved by delta toward the samples, which makes the
+        # bordered system of the three singular to working precision, yet
+        # the optimum moves to the edge from prototype 2 (by about delta)
+        F = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, delta]])
+        X = np.array([[0.5, 0.3, 0.9, -0.2], [1.0, 2.0, 0.5, 0.4]])
+        rng = np.random.default_rng(98)
+        F9, X9 = rng.normal(size=(2, 9)), rng.normal(size=(2, 200))
+        F9b = F9.copy()
+        F9b[:, 1] = F9[:, 0] + delta * rng.normal(size=2)
+        for F0, F1, X in ((F[:, :2], F, X), (F9, F9b, X9)):
+            warm = solve_membership(F0, X)
+            warm = np.column_stack([warm, np.zeros((len(warm), F1.shape[1] - F0.shape[1]))])
+            G = solve_membership(F1, X, warm=warm)
+            obj = np.sum((X - F1 @ G.T) ** 2, axis=0)
+            ref = np.sum((X - F1 @ enumerate_faces(F1, X).T) ** 2, axis=0)
+            assert np.all(obj - ref <= 1e-12 * (ref + np.sum(X * X, axis=0))), np.max(obj - ref)
+
     def test_no_samples(self):
         assert solve_membership(np.eye(2), np.zeros((2, 0))).shape == (0, 2)
 
@@ -481,8 +501,8 @@ class TestNnlsPath:
         G2 = solve_membership(F, X, warm=rng.dirichlet(np.ones(9), size=50))
         assert np.isfinite(G2).all() and G2.min() >= 0.0
 
-    def test_more_prototypes_than_key_bits(self):
-        # k = 70 supports do not fit one integer key
+    def test_many_prototypes(self):
+        # k = 70 prototypes on two features: supports of at most three
         rng = np.random.default_rng(97)
         F, X = rng.normal(size=(2, 70)), rng.normal(size=(2, 40)) * 2.0
         G = solve_membership(F, X)
