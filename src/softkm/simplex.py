@@ -38,8 +38,7 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     m, k = V.shape
     U = -np.sort(-V, axis=1)  # descending
     css = np.cumsum(U, axis=1)
-    j = np.arange(1, k + 1, dtype=float)
-    positive = U * j > css - 1.0
+    positive = U * np.arange(1, k + 1) > css - 1.0
     rho = k - np.argmax(positive[:, ::-1], axis=1)
     theta = (np.take_along_axis(css, rho[:, None] - 1, axis=1).ravel() - 1.0) / rho
     G = np.maximum(V - theta[:, None], 0.0)
@@ -57,7 +56,7 @@ def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     border; each distinct support, padded with them, is factored once."""
     k, m = S.shape
     order = np.lexsort(S)  # columns with equal supports side by side
-    new = np.concatenate(([True], (S[:, order[1:]] != S[:, order[:-1]]).any(axis=0)))
+    new = np.concatenate(([True], (S.take(order[1:], axis=1) != S.take(order[:-1], axis=1)).any(axis=0)))
     inv = np.empty(m, dtype=int)
     inv[order] = np.cumsum(new) - 1
     supports = S.take(order.compress(new), axis=1).T
@@ -90,15 +89,13 @@ def _wolfe(F, X, M, C, tol, W, major) -> np.ndarray:
     first zero weight on the way. A column flagged `major` sits at its
     affine minimizer. It is done when no gap exceeds its tol, when S spans
     all dim dimensions, or when the prototype just added leaves at once
-    (its gap was round-off). A singular warm support restarts at its
-    nearest vertex.
+    (its gap was round-off). A warm support singular to working precision
+    restarts at its nearest vertex; a later one is solved from its edges.
     """
     (dim, k), m = F.shape, C.shape[1]
-    G = np.empty((k, m))
-    cols, S, done = np.arange(m), W > 0.0, np.zeros(m, dtype=bool)
+    G, cols, S, done = np.empty((k, m)), np.arange(m), W > 0.0, np.zeros(m, dtype=bool)
     Mb = np.eye(k + dim + 2)  # a support holds at most dim + 1 prototypes
-    Mb[:k, :k], Mb[-1, -1] = M, 0.0
-    Mb[:k, -1] = Mb[-1, :k] = 1.0
+    Mb[:k, :k], Mb[:k, -1], Mb[-1, :k], Mb[-1, -1] = M, 1.0, 1.0, 0.0
     for step in range(2 * k * k):  # Wolfe's method is finite: this only stops a cycle of round-off
         if major.any():
             # major cycle
@@ -134,7 +131,8 @@ def _wolfe(F, X, M, C, tol, W, major) -> np.ndarray:
         ratio = np.where(block, W / np.maximum(-D, _TINY), np.inf)
         theta = ratio.min(axis=0)
         stuck = theta == 0.0
-        D[:, stuck], theta[stuck] = 0.0, np.inf
+        if stuck.any():
+            D[:, stuck], theta[stuck] = 0.0, np.inf
         major = np.isinf(theta)
         W += np.minimum(theta, 1.0) * D
         np.putmask(W, block & (ratio == theta), 0.0)
@@ -191,7 +189,9 @@ def solve_membership(F, X, warm=None) -> np.ndarray:
         feasible = (Wt.min(axis=0) >= 0.0) & (abs(Wt.sum(axis=0) - 1.0) <= 1e-12)
         start = feasible & (np.count_nonzero(Wt, axis=0) <= dim + 1)
         W = np.where(start, Wt, W)
-    W[:, ~start] = np.eye(k)[:, np.argmin(np.diag(M)[:, None] - 2.0 * C[:, ~start], axis=0)]
+    cold = np.flatnonzero(~start)
+    if cold.size:
+        W[np.argmin(np.diag(M)[:, None] - 2.0 * C[:, cold], axis=0), cold] = 1.0
     # the gap of a prototype sums about k + dim terms of size |f| (|f| + |x|)
     r = np.sqrt(np.diag(M).max())
     tol = (k + dim) * _EPS * r * (r + np.sqrt((As * As).sum(axis=0)))
