@@ -51,9 +51,9 @@ def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     """Column i of the k x m result minimizes g^T M g - 2 C_i^T g subject
     to 1^T g = 1 and g = 0 off the support S_i, from the bordered system
     [M_SS 1; 1^T 0][g_S; nu] = [C_Si; 1]. The mask flags the columns whose
-    system is singular to working precision. Mb is [M 1; 1^T 0] with
-    identity rows and columns for extra indices k, k + 1, ... before the
-    border; each distinct support, padded with them, is factored once."""
+    system may be worse conditioned than 1/sqrt(eps). Mb is [M 1; 1^T 0]
+    with identity rows and columns for extra indices k, k + 1, ... before
+    the border; each distinct support, padded with them, is factored once."""
     k, m = S.shape
     order = np.lexsort(S)  # columns with equal supports side by side
     new = np.concatenate(([True], (S.take(order[1:], axis=1) != S.take(order[:-1], axis=1)).any(axis=0)))
@@ -69,8 +69,8 @@ def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:  # a system is exactly singular: its inverse is infinite
         Binv = np.stack([np.linalg.inv(b) if np.linalg.matrix_rank(b) > w else b + np.inf for b in B])
-    # no entry of B exceeds max|Mb| >= 1, so this bounds its condition number
-    singular = ~(abs(Binv).reshape(len(B), -1).max(axis=1) * (abs(Mb).max() * _EPS) < 1.0)
+    # about cond(B): M is rounded at eps |f|^2, so past 1/sqrt(eps) a singular B need not show it
+    singular = ~(abs(Binv).reshape(len(B), -1).max(axis=1) * (abs(Mb).max() * np.sqrt(_EPS)) < 1.0)
     Binv[singular] = 0.0
     # column i's prototype idx_j sits at flat index at[j, i] of Cx and V
     at = (idx.T * m).take(inv, axis=1) + np.arange(m)
@@ -89,7 +89,7 @@ def _wolfe(F, X, M, C, tol, W, major) -> np.ndarray:
     first zero weight on the way. A column flagged `major` sits at its
     affine minimizer. It is done when no gap exceeds its tol, when S spans
     all dim dimensions, or when the prototype just added leaves at once
-    (its gap was round-off). A warm support singular to working precision
+    (its gap was round-off). A warm support flagged ill-conditioned
     restarts at its nearest vertex; a later one is solved from its edges.
     """
     (dim, k), m = F.shape, C.shape[1]

@@ -421,24 +421,24 @@ class TestExactPath:
         np.testing.assert_allclose(G.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(F @ G.T, F @ enumerate_faces(F, X).T, atol=1e-15)
 
-    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9, 1e-10])
     def test_warm_row_moves_to_a_near_duplicate(self, delta):
-        # each warm row sits at its optimum on prototypes 0 and 1; prototype 2
-        # is prototype 0 moved by delta toward the samples, which makes the
-        # bordered system of the three singular to working precision, yet
-        # the optimum moves to the edge from prototype 2 (by about delta)
-        F = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, delta]])
+        # each warm row starts at its optimum for F0; in F one prototype
+        # lies within delta of another, so the Gram system of a support
+        # holding both is too ill-conditioned to trust, yet the optimum can
+        # move from one twin to the other (by about delta)
         X = np.array([[0.5, 0.3, 0.9, -0.2], [1.0, 2.0, 0.5, 0.4]])
-        rng = np.random.default_rng(98)
-        F9, X9 = rng.normal(size=(2, 9)), rng.normal(size=(2, 200))
-        F9b = F9.copy()
-        F9b[:, 1] = F9[:, 0] + delta * rng.normal(size=2)
-        for F0, F1, X in ((F[:, :2], F, X), (F9, F9b, X9)):
-            warm = solve_membership(F0, X)
-            warm = np.column_stack([warm, np.zeros((len(warm), F1.shape[1] - F0.shape[1]))])
-            G = solve_membership(F1, X, warm=warm)
-            obj = np.sum((X - F1 @ G.T) ** 2, axis=0)
-            ref = np.sum((X - F1 @ enumerate_faces(F1, X).T) ** 2, axis=0)
+        cases = [(np.array([[0.0, 1.0, 5.0], [0.0, 0.0, -5.0]]), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, delta]]), X)]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            F, X = rng.normal(size=(3, 6)), rng.normal(size=(3, 40)) * 1.5
+            F0 = F + 0.05 * rng.normal(size=F.shape)
+            F[:, 4] = F[:, 3] + delta * rng.normal(size=3)
+            cases.append((F0, F, X))
+        for F0, F, X in cases:
+            G = solve_membership(F, X, warm=solve_membership(F0, X))
+            obj = np.sum((X - F @ G.T) ** 2, axis=0)
+            ref = np.sum((X - F @ enumerate_faces(F, X).T) ** 2, axis=0)
             assert np.all(obj - ref <= 1e-12 * (ref + np.sum(X * X, axis=0))), np.max(obj - ref)
 
     def test_no_samples(self):
