@@ -8,10 +8,10 @@ memberships can be.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     _BLOCK_FLOATS,
@@ -86,11 +86,11 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
 
     A bound r >= min(p, q) needs no decomposition, only a finite A; a lower
     r finds a non-finite A from max|A|. Otherwise a range finder (Halko,
-    Martinsson & Tropp 2011) sketches A / max|A| in its tall orientation T
-    with a fixed-seed Gaussian test matrix of r + 11 columns:
-    Q = orth(T Omega), B = Q^T T. Two certificates then decide, each with a
-    slack of (p + q) eps ||T||_F for the round-off of this sketch and of
-    `numerical_rank` itself:
+    Martinsson & Tropp 2011) sketches A 2^-e, for max|A| = f 2^e with
+    1/2 <= f < 1, in its tall orientation T with a fixed-seed Gaussian test
+    matrix of r + 11 columns: Q = orth(T Omega), B = Q^T T. Two certificates
+    then decide, each with a slack of (p + q) eps ||T||_F for the round-off
+    of this sketch and of `numerical_rank` itself:
 
     - rank > r when sigma_{r+1}(B) > tau ||T||_F, since interlacing gives
       sigma_i(B) <= sigma_i(T) and sigma_1(T) <= ||T||_F;
@@ -103,7 +103,16 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
     ||T||_F^2; the residual) streams it in row blocks of at most
     _BLOCK_FLOATS floats through one reused buffer kept in A's orientation,
     so a wide A is read by column blocks. A block holds exactly those rows
-    of A / max|A|, entries at most 1 in magnitude, so no sum overflows.
+    of A 2^-e: a power-of-two scale is exact for normal results, leaves
+    every entry below 1 in magnitude, so no sum overflows, and stays finite
+    for a subnormal max|A|.
+
+    Q is orthonormalized in place in Y = T Omega, held as Y^T, by a
+    one-level TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
+    2012) over the same row blocks: each block Y_b = Q_b R_b, the stacked
+    R_b = Q' R, and block b of Q is Q_b times block b of Q'. Only the small
+    factors are allocated; `np.linalg.qr(Y)` would copy the m x (r + 11)
+    sketch twice, past the audits' one-working-copy memory bound.
 
     When neither holds, or A is too small for the sketch to pay, the
     answer is the exact `numerical_rank`.
@@ -123,22 +132,31 @@ def _rank_at_most(A, r: int, tau: float) -> bool:
     if 2 * s < n:
         tall, m = A.shape[0] >= A.shape[1], max(A.shape)
         step = max(1, _BLOCK_FLOATS // n)
-        buf = np.empty(min(step, m) * n)
+        buf, e = np.empty(min(step, m) * n), -math.frexp(amax)[1]
 
         def blocks():
             """(rows, T[rows], its entries) for each row block of T, held in buf."""
             for i in range(0, m, step):
                 w = min(step, m - i)
                 Z = buf[:w * n].reshape((w, n) if tall else (n, w))
-                np.divide(A[i:i + w] if tall else A[:, i:i + w], amax, out=Z)
+                np.ldexp(A[i:i + w] if tall else A[:, i:i + w], e, out=Z)
                 yield slice(i, i + w), (Z if tall else Z.T), buf[:w * n]
 
-        # Y = T Omega, held as Y^T: QR gets a Fortran Y and overwrites it with Q
+        # Y = T Omega, held as Y^T, whose block b is overwritten by Q_b^T
+        # (in its first rows when it is shorter than s) and then by Q's block
         Omega_t, Yt = np.random.default_rng(0).standard_normal((n, s)).T, np.empty((s, m))
         for rows, T, _ in blocks():
             np.matmul(Omega_t, T.T, out=Yt[:, rows])
-        Qt = scipy.linalg.qr(Yt.T, mode="economic", overwrite_a=True, check_finite=False)[0].T
-        QtT, sq = np.zeros((s, n)), 0.0
+        Rs = []
+        for i in range(0, m, step):
+            Qb, Rb = np.linalg.qr(Yt[:, i:i + step].T)
+            Yt[:len(Rb), i:i + step] = Qb.T
+            Rs.append(Rb)
+        Q2t, j = np.linalg.qr(np.concatenate(Rs))[0].T, 0
+        for i, Rb in zip(range(0, m, step), Rs):
+            Yt[:, i:i + step] = Q2t[:, j:j + len(Rb)] @ Yt[:len(Rb), i:i + step]
+            j += len(Rb)
+        Qt, QtT, sq = Yt, np.zeros((s, n)), 0.0
         for rows, T, t in blocks():
             QtT += Qt[:, rows] @ T
             sq += float(t @ t)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import _finite_matrix, as_matrix
 from .errors import InvalidInput
@@ -59,7 +58,10 @@ def _paired(pred, truth):
 
 def accuracy(pred, truth) -> float:
     """Fraction of samples matched under the best one-to-one relabeling,
-    found by solving the assignment problem on the contingency table."""
+    found by solving the assignment problem on the contingency table.
+    scipy.optimize is loaded on the first call, not with the package."""
+    from scipy.optimize import linear_sum_assignment
+
     p, t = _paired(pred, truth)
     C = _contingency(p, t)
     rows, cols = linear_sum_assignment(C, maximize=True)

@@ -47,6 +47,16 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return G
 
 
+def _distinct_supports(S) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of the boolean k x m S, one per row, and for
+    each column of S the row that holds it."""
+    order = np.lexsort(S)  # columns with equal supports side by side
+    new = np.concatenate(([True], (S.take(order[1:], axis=1) != S.take(order[:-1], axis=1)).any(axis=0)))
+    inv = np.empty(S.shape[1], dtype=int)
+    inv[order] = np.cumsum(new) - 1
+    return S.take(order.compress(new), axis=1).T, inv
+
+
 def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     """Column i of the k x m result minimizes g^T M g - 2 C_i^T g subject
     to 1^T g = 1 and g = 0 off the support S_i, from the bordered system
@@ -55,11 +65,7 @@ def _affine_minimizers(Mb, C, S) -> tuple[np.ndarray, np.ndarray]:
     with identity rows and columns for extra indices k, k + 1, ... before
     the border; each distinct support, padded with them, is factored once."""
     k, m = S.shape
-    order = np.lexsort(S)  # columns with equal supports side by side
-    new = np.concatenate(([True], (S.take(order[1:], axis=1) != S.take(order[:-1], axis=1)).any(axis=0)))
-    inv = np.empty(m, dtype=int)
-    inv[order] = np.cumsum(new) - 1
-    supports = S.take(order.compress(new), axis=1).T
+    supports, inv = _distinct_supports(S)
     w = supports.sum(axis=1).max()
     padded = np.concatenate((supports, np.ones((len(supports), w), dtype=bool)), axis=1)
     idx = np.argsort(~padded, axis=1, kind="stable")[:, :w]  # the support, then k, k + 1, ...
@@ -119,11 +125,14 @@ def _wolfe(F, X, M, C, tol, W, major) -> np.ndarray:
             V[:, bad], S[:, bad], bad[:] = W[:, bad], W[:, bad] > 0.0, False
         if bad.any():
             # the prototype just added nearly depends on the rest of S: solve
-            # from S's edges f_j - f_j0, whose condition is the root of M_SS's
-            i = np.argsort(~S[:, bad], axis=0, kind="stable")  # the support first
-            on = np.take_along_axis(S[:, bad], i[1:], axis=0)
+            # from S's edges f_j - f_j0, whose condition is the root of M_SS's;
+            # each distinct support's edge matrix is factored once
+            supports, inv = _distinct_supports(S[:, bad])
+            i = np.argsort(~supports.T, axis=0, kind="stable")  # the support first
+            on = np.take_along_axis(supports.T, i[1:], axis=0)
             E = ((F[:, i[1:]] - F[:, i[:1]]) * on).transpose(2, 0, 1)
-            lam = on * (np.linalg.pinv(E) @ (X[:, cols[bad]] - F[:, i[0]]).T[:, :, None])[:, :, 0].T
+            i, on, P = i.take(inv, axis=1), on.take(inv, axis=1), np.linalg.pinv(E).take(inv, axis=0)
+            lam = on * (P @ (X[:, cols[bad]] - F[:, i[0]]).T[:, :, None])[:, :, 0].T
             lam = np.concatenate(([1.0 - lam.sum(axis=0)], lam))
             V[:, bad] = np.take_along_axis(lam, np.argsort(i, axis=0), axis=0)
         D = V - W

@@ -4,7 +4,6 @@ qualitative solver comparison."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import _finite_matrix, check_k
 from .errors import InvalidInput
@@ -25,6 +24,7 @@ def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     which the solver comparison relies on.
     """
     check_k(n, 2, name="n")
+    check_k(seed, 0, name="seed")
     rng = np.random.default_rng(seed)
     sizes = (n // 2, n - n // 2)
     X = np.concatenate([np.asarray(c)[:, None] + SPREAD * rng.standard_normal((2, m))
@@ -34,12 +34,17 @@ def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 def in_convex_hull(points, query) -> bool:
     """Whether `query` is a convex combination of the columns of `points`,
-    decided by linear-programming feasibility."""
+    decided by linear-programming feasibility. scipy.optimize is loaded on
+    the first call, not with the package."""
     P = _finite_matrix(points, "points")
     q = _finite_matrix(query, "query").ravel()
     if q.shape[0] != P.shape[0]:
         raise InvalidInput("query dimension must match the points")
     d, n = P.shape
+    if n == 0:
+        raise InvalidInput("points must hold at least one column")
+    from scipy.optimize import linprog
+
     A_eq = np.vstack([P, np.ones((1, n))])
     b_eq = np.append(q, 1.0)
     res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq,

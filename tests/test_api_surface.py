@@ -7,7 +7,10 @@ one rule."""
 import argparse
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,21 @@ from softkm import (
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+
+
+def test_import_loads_no_scipy_submodule():
+    # scipy.optimize loads on the first call of accuracy or in_convex_hull;
+    # nothing loads scipy.linalg
+    code = "\n".join([
+        "import sys, numpy as np, softkm",
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])",
+        "print(softkm.accuracy([0, 0, 1, 1, 2, 2, 2], [1, 1, 0, 2, 2, 2, 0]))",
+        "print(softkm.in_convex_hull(np.eye(2), [0.5, 0.5]), softkm.in_convex_hull(np.eye(2), [0.5, 0.6]))",
+    ])
+    path = os.pathsep.join(filter(None, (str(Path(softkm.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", repr(5 / 7), "True False"]
 
 
 def test_exports_resolve_once_and_cover_the_readme():
@@ -120,6 +138,9 @@ MALFORMED = {
     "in_convex_hull ragged": lambda tmp: in_convex_hull(np.eye(2), [[1.0], [2.0, 3.0]]),
     "in_convex_hull nan": lambda tmp: in_convex_hull(np.eye(2), [np.nan, 0.0]),
     "two_gaussians fractional n": lambda tmp: two_gaussians(n=2.5),
+    "two_gaussians negative seed": lambda tmp: two_gaussians(seed=-1),
+    "two_gaussians fractional seed": lambda tmp: two_gaussians(seed=1.5),
+    "in_convex_hull no points": lambda tmp: in_convex_hull(np.zeros((2, 0)), [0.0, 0.0]),
 }
 
 

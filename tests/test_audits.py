@@ -147,6 +147,31 @@ class TestRankPath:
         assert exact_calls == [(40, n)]
 
 
+class TestSketchQr:
+    """The sketch's in-place blocked QR, on shapes where 2 (r + 11) <
+    min(d, n): each answer is the exact rank's, certified without it."""
+
+    NOISY_RANK_9 = random_instance(12, 50, 9) @ random_instance(16, 9, 600) + random_instance(17, 50, 600, 1e-12)
+    CASES = {
+        # 2628 columns in blocks of 2621: the last block's 7 rows are fewer
+        # than the sketch's 20 columns
+        "short last block": (random_instance(13, 50, 2628), False),
+        "rank 3": (random_instance(14, 50, 3) @ random_instance(15, 3, 2628), True),
+        "scaled by 1e300": (1e300 * NOISY_RANK_9, True),
+        "scaled by 1e-300": (1e-300 * NOISY_RANK_9, True),
+        "subnormal max": (1e-310 * NOISY_RANK_9, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_exact_rank(self, case, monkeypatch):
+        X, expected = self.CASES[case]
+        exact = numerical_rank(center(X).centered) <= 9
+        calls = []
+        monkeypatch.setattr(softkm.audits, "numerical_rank", lambda A, tau: calls.append(A.shape))
+        assert is_skmable(X, 10) == exact == expected
+        assert calls == []
+
+
 class TestKernelMatrix:
     def test_validation(self):
         with pytest.raises(InvalidInput):
