@@ -7,6 +7,7 @@ one rule."""
 import argparse
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -45,19 +46,32 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def test_import_loads_no_scipy_submodule():
-    # scipy.optimize loads on the first call of accuracy or in_convex_hull;
-    # nothing loads scipy.linalg
+def test_import_loads_no_scipy_submodule(tmp_path):
+    # a fresh process: import, accuracy, softkm bench and softkm eval load
+    # neither scipy.optimize nor scipy.linalg; in_convex_hull loads optimize
+    csv = tmp_path / "in.csv"
+    csv.write_text("x,y,label\n0,0,0\n0,1,0\n5,5,1\n5,6,1\n9,0,2\n9,1,2\n", encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"input": str(csv), "out": str(tmp_path / "out"), "runs": [
+        {"solver": "global", "k": 3}, {"solver": "am", "k": 3, "seeds": [0]},
+        {"solver": "mvskm", "k": 3, "lambda": 1.0, "seeds": [0]}]}), encoding="utf-8")
     code = "\n".join([
-        "import sys, numpy as np, softkm",
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])",
-        "print(softkm.accuracy([0, 0, 1, 1, 2, 2, 2], [1, 1, 0, 2, 2, 2, 0]))",
+        "import contextlib, io, sys, numpy as np, softkm",
+        "from softkm.cli import main",
+        "def loaded(): return [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]",
+        "print(loaded())",
+        "print(softkm.accuracy([0, 0, 1, 1, 2, 2, 2], [1, 1, 0, 2, 2, 2, 0]), loaded())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    codes = main(['bench', '--spec', {str(spec)!r}]), main(['eval', '--pred', {str(csv)!r}, '--truth', {str(csv)!r}])",
+        "print(codes, loaded())",
         "print(softkm.in_convex_hull(np.eye(2), [0.5, 0.5]), softkm.in_convex_hull(np.eye(2), [0.5, 0.6]))",
+        "print('scipy.optimize' in sys.modules)",
     ])
     path = os.pathsep.join(filter(None, (str(Path(softkm.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", repr(5 / 7), "True False"]
+    assert out.splitlines() == ["[]", f"{5 / 7!r} []", "(0, 0) []", "True False", "True"]
+    assert len((tmp_path / "out" / "bench.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
 def test_exports_resolve_once_and_cover_the_readme():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from softkm import InvalidInput, accuracy, hard_assign, nmi, purity
+from softkm.metrics import _max_assignment
 
 
 def brute_accuracy(pred, truth):
@@ -21,6 +22,67 @@ def brute_accuracy(pred, truth):
             m = sum(int((pred[truth == t] == p).sum()) for t, p in zip(tv, perm))
             best = max(best, m)
     return best / len(pred)
+
+
+def brute_assignment(C):
+    """The largest total over every one-to-one matching of the short side
+    of the table C into its long side."""
+    C = np.asarray(C)
+    if C.shape[0] > C.shape[1]:
+        C = C.T
+    perms = np.array(list(itertools.permutations(range(C.shape[1]), C.shape[0])))
+    return int(C[np.arange(C.shape[0]), perms].sum(axis=1).max())
+
+
+def small_tables():
+    """Seeded integer tables of every shape up to 6 x 6: random counts,
+    counts with many ties, all zeros, and one constant table per shape."""
+    rng = np.random.default_rng(7)
+    for r, c in itertools.product(range(1, 7), repeat=2):
+        yield np.zeros((r, c), dtype=np.int64)
+        yield np.full((r, c), 3, dtype=np.int64)
+        for top in (1, 2, 9, 1000):
+            for _ in range(3):
+                yield rng.integers(0, top + 1, size=(r, c))
+
+
+def labels_of(C):
+    """pred, truth label vectors whose contingency counts are the table C."""
+    rows, cols = np.indices(C.shape)
+    return np.repeat(rows.ravel(), C.ravel()), np.repeat(cols.ravel(), C.ravel())
+
+
+class TestMaxAssignment:
+    def test_matches_brute_force_in_both_orientations(self):
+        count = 0
+        for C in small_tables():
+            best = brute_assignment(C)
+            assert _max_assignment(C) == best, C
+            assert _max_assignment(np.ascontiguousarray(C.T)) == best, C
+            assert type(_max_assignment(C)) is int
+            if C.any():
+                pred, truth = labels_of(C)
+                assert accuracy(pred, truth).hex() == (float(best) / pred.size).hex(), C
+            count += 1
+        assert count == 36 * 14
+
+    def test_matches_scipy_with_the_same_float_bits(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(8)
+        tables = [C for C in small_tables() if C.any()]
+        for _ in range(200):
+            r, c = rng.integers(1, 41, size=2)
+            C = rng.integers(0, int(rng.choice([1, 3, 50, 10**6])) + 1, size=(r, c))
+            if rng.random() < 0.5:  # a clustering's table: a heavy diagonal
+                C[np.arange(min(r, c)), rng.permutation(c)[:min(r, c)]] += rng.integers(0, 500, size=min(r, c))
+            tables.append(C)
+        for C in tables:
+            rows, cols = linear_sum_assignment(C, maximize=True)
+            assert _max_assignment(C) == int(C[rows, cols].sum()), C
+            if 0 < C.sum() <= 10**5:  # one label pair per count
+                pred, truth = labels_of(C)
+                assert accuracy(pred, truth).hex() == (float(C[rows, cols].sum()) / pred.size).hex()
 
 
 class TestHardAssign:

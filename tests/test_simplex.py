@@ -91,6 +91,25 @@ def kkt_residual(F, x, g):
     return float(kkt_residuals(F, np.reshape(x, (-1, 1)), np.reshape(g, (1, -1)))[0])
 
 
+def kkt_gaps_within(F, X, G, rtol=1e-9):
+    """Whether each sample's duality gap max_j (grad^T g - grad_j), with
+    grad = F^T (F g - x), is at most rtol times the sample's own scale
+    diam (diam + ||F g - x||), diam the largest distance from F g to a
+    prototype. A row that Wolfe's method left before its gap fell to
+    round-off fails here even when its objective looks optimal; an exact
+    row's gap is its solve's rounding, which grows with the condition of
+    its support and reached 2e-11 of the scale on random near-vertex
+    samples. The gap is the same about any origin; the first prototype's
+    keeps the differences exact when the prototypes nearly coincide."""
+    t = F[:, :1]
+    Fs, P = F - t, (F - t) @ G.T
+    R = P - (X - t)
+    grad = Fs.T @ R
+    gap = (G.T * grad).sum(axis=0) - grad.min(axis=0)
+    diam = np.sqrt(((P[:, None, :] - Fs[:, :, None]) ** 2).sum(axis=0)).max(axis=0)
+    return gap <= rtol * diam * (diam + np.sqrt((R * R).sum(axis=0)))
+
+
 def closed_form_interior(F, x):
     """Equality-constrained least squares through the thin SVD of a
     rank-(k-1) prototype matrix; valid when the result is interior."""
@@ -364,8 +383,22 @@ class TestExactPath:
             ref = np.sum((X - F @ G_ref.T) ** 2, axis=0)
             scale = ref + np.sum(X * X, axis=0)
             assert np.all(np.abs(obj - ref) <= 1e-12 * scale), (d, obj - ref)
+            assert kkt_gaps_within(F, X, G).all(), d
             for i in range(X.shape[1]):
                 assert kkt_residual(F, X[:, i], G[i]) <= 1e-12, (d, i)
+
+    @pytest.mark.parametrize("d, k", [(1, 3), (2, 3), (2, 6), (3, 4), (3, 9), (5, 4)])
+    def test_rows_next_to_a_vertex_leave_it(self, d, k):
+        # each sample lies a relative 1e-12 to 1e-8 from its nearest
+        # prototype, off towards another: the row starts at that vertex,
+        # where the other prototype's gap is positive but tiny
+        rng = np.random.default_rng(200 + 10 * d + k)
+        F = rng.normal(size=(d, k))
+        a, b = np.array([rng.permutation(k)[:2] for _ in range(60)]).T
+        eta = 10.0 ** rng.uniform(-12.0, -8.0, size=60)
+        X = F[:, a] + eta * (F[:, b] - F[:, a] + 0.5 * rng.normal(size=(d, 60)))
+        G = solve_membership(F, X)
+        assert kkt_gaps_within(F, X, G).all()
 
     def test_every_small_shape_solved(self):
         # one path from a single prototype to seven, in one to forty dimensions
