@@ -1,11 +1,14 @@
 """Alternating minimization for the soft k-means objective: the engine
 shared with the minimal-volume solver, and the AM baseline built on it.
 
-The engine alternates the exact prototype update F (G^T G + T) = A G, for a
-k x k term T, with exact membership solves, and stops on one
+The engine runs on the centered data Xc: G 1 = 1, so shifting every sample
+shifts every prototype by the same vector, and both solvers add the mean
+back once. It alternates the exact prototype update F (G^T G + T) = Xc G,
+for a k x k term T, with exact membership solves, and stops on one
 scale-free rule: |L_prev - L| <= rel_obj_tol * max(|L_prev|, ||Xc||_F^2).
-AM takes T = RIDGE * trace(G^T G)/k * I and converges to a stationary point
-only; the closed-form solver gives the global reference.
+AM takes T = RIDGE * trace(G^T G)/k * I, a ridge that shrinks the
+prototypes toward the mean, and converges to a stationary point only; the
+closed-form solver gives the global reference.
 """
 
 from __future__ import annotations
@@ -85,40 +88,40 @@ class AmOptions:
         _check_fields(self)
 
 
-def _initial_prototypes(X: DataMatrix, k: int, init, seed: int) -> np.ndarray:
-    if isinstance(init, str):  # "random_points", the one name the options accept
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(X.n, size=k, replace=False)
-        return X.values[:, np.sort(idx)].copy()
-    F = _finite_matrix(init, "initial prototypes")
-    if F.shape != (X.d, k):
-        raise InvalidInput(f"initial prototypes must be {X.d}x{k}")
-    return F.copy()
-
-
-def _alternate(A, F, gram_term, loss, opts, Xc):
-    """Alternate F-updates and membership solves on the d x n data A from
-    the d x k start F. gram_term(F, GtG) is the k x k term added to G^T G,
-    loss(F, G) the objective; opts, an AmOptions, gives max_outer_iters and
-    rel_obj_tol, and the energy ||Xc||_F^2 of the centered data floors the
-    stop rule so that it is scale-free; an infinite one would pass it.
-    Returns (F, G, trace), trace[0] taken after the initial membership solve.
+def _alternate(X: DataMatrix, k: int, gram_term, loss, opts):
+    """Alternate F-updates and membership solves on the centered data
+    X.centered. The start is k distinct centered data columns drawn with
+    opts.seed, or opts.init less the mean. gram_term(F, GtG) is the k x k
+    term added to G^T G, loss(F, G) the objective; opts, an AmOptions,
+    also gives max_outer_iters and rel_obj_tol, and the energy ||Xc||_F^2
+    floors the stop rule so that it is scale-free; an infinite one would
+    pass it. Returns (F, G, trace) with F centered, trace[0] taken after
+    the initial membership solve.
     """
+    Xc = X.centered
+    if isinstance(opts.init, str):  # "random_points", the one name the options accept
+        idx = np.random.default_rng(opts.seed).choice(X.n, size=k, replace=False)
+        F = Xc[:, np.sort(idx)]
+    else:
+        F = _finite_matrix(opts.init, "initial prototypes")
+        if F.shape != (X.d, k):
+            raise InvalidInput(f"initial prototypes must be {X.d}x{k}")
+        F = F - X.mean[:, None]
     with np.errstate(over="ignore"):  # an infinite energy is rejected below
         energy = float(np.sum(Xc * Xc))
     if not np.isfinite(energy):
         raise NumericalFailure("data energy ||Xc||_F^2 overflows")
-    G = solve_membership(F, A)
+    G = solve_membership(F, Xc)
     trace = [loss(F, G)]
     for _ in range(opts.max_outer_iters):
         GtG = G.T @ G
         try:
-            F = np.linalg.solve(GtG + gram_term(F, GtG), (A @ G).T).T
+            F = np.linalg.solve(GtG + gram_term(F, GtG), (Xc @ G).T).T
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"singular system in F-update: {exc}") from exc
         if not np.all(np.isfinite(F)):
             raise NumericalFailure("non-finite prototypes in F-update")
-        G = solve_membership(F, A, warm=G)
+        G = solve_membership(F, Xc, warm=G)
         L = loss(F, G)
         if not np.isfinite(L):
             raise NumericalFailure("non-finite objective value")
@@ -142,11 +145,12 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
     Returns
     -------
     (Solution, trace)
-        trace[0] is the objective after the initial membership solve and
-        one entry follows per outer iteration; it is non-increasing up to
-        round-off. Stops when the objective changes by at most
-        rel_obj_tol * max(|L_prev|, ||Xc||_F^2), the rule shared with
-        solve_mvskm, or when max_outer_iters is reached.
+        Prototypes in original coordinates. trace[0] is the objective
+        after the initial membership solve and one entry follows per outer
+        iteration, each computed on the centered data; it is
+        non-increasing up to round-off. Stops when the objective changes
+        by at most rel_obj_tol * max(|L_prev|, ||Xc||_F^2), the rule shared
+        with solve_mvskm, or when max_outer_iters is reached.
     """
     opts = AmOptions() if opts is None else opts
     if type(opts) is not AmOptions:
@@ -154,11 +158,10 @@ def solve_am(X, k: int, opts: AmOptions | None = None) -> tuple[Solution, list[f
     X = center(X)
     check_k(k, 1, X.n)
     F, G, trace = _alternate(
-        X.values,
-        _initial_prototypes(X, k, opts.init, opts.seed),
+        X,
+        k,
         lambda F, GtG: RIDGE * np.trace(GtG) / k * np.eye(k),
-        lambda F, G: objective(X, F, G),
+        lambda F, G: objective(X.centered, F, G),
         opts,
-        X.centered,
     )
-    return Solution(F, G, trace[-1]), trace
+    return Solution(F + X.mean[:, None], G, trace[-1]), trace

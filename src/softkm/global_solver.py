@@ -32,7 +32,6 @@ __all__ = [
     "solve_global",
     "rotate_solution",
     "objective",
-    "infinity_bound",
 ]
 
 @dataclass(frozen=True)
@@ -79,12 +78,6 @@ def objective(X, F, G) -> float:
         np.multiply(R, R, out=R)
         total += float(R.sum())
     return total
-
-
-def infinity_bound(k: int) -> float:
-    """Max-norm bound sqrt(k(k-1))/k for unit vectors orthogonal to ones."""
-    check_k(k, 2)
-    return float(np.sqrt(k * (k - 1.0)) / k)
 
 
 def solve_global(X, k: int) -> tuple[Solution, GlobalFactors]:

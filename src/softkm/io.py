@@ -28,7 +28,7 @@ from .am import AmOptions, _check_fields, solve_am
 from .core import DataMatrix, Solution, as_matrix, center
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
-from .metrics import accuracy, hard_assign, nmi, purity
+from .metrics import _as_labels, accuracy, hard_assign, nmi, purity
 from .mvskm import MvskmOptions, solve_mvskm
 
 __all__ = [
@@ -95,9 +95,9 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
 
     A first row with any non-numeric cell is treated as a header; a header
     whose last column is "label" marks that column as integer ground-truth
-    labels. Ragged rows, non-numeric cells, and empty files raise ParseError
-    with the offending location, as do non-integer labels and labels
-    outside the int64 range.
+    labels. Ragged rows, a header whose width differs from the rows',
+    non-numeric cells, and empty files raise ParseError with the offending
+    location, as do non-integer labels and labels outside the int64 range.
     """
     if not os.path.exists(path):
         raise InvalidInput(f"input file not found: {path}")
@@ -105,6 +105,8 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
         header, data = _parse_bulk(path)
     except ValueError:  # the per-cell parser decides, with row and column
         header, data = _parse_cells(path)
+    if header is not None and len(header) != data.shape[1]:
+        raise ParseError(f"{path}: header has {len(header)} columns, rows have {data.shape[1]}")
     labels = None
     if header is not None and header[-1].lower() == "label":
         lab = data[:, -1]
@@ -300,10 +302,10 @@ _BENCH_ROW = "%s,%d,%d" + f",{_NUMBER}" * 5 + "\n"
 def bench(configs) -> list[dict]:
     """Run several configurations on their one shared input file and score
     each against that file's label column with accuracy, NMI, and purity.
-    The file is parsed once; an input without a label column raises
-    InvalidInput before any solve, and every config is solved before the
-    first artifact is written, so a failing run leaves no files. Returns
-    one row dict per config."""
+    The file is parsed once; an input without a label column, or with
+    labels the scorers reject, raises InvalidInput before any solve, and
+    every config is solved before the first artifact is written, so a
+    failing run leaves no files. Returns one row dict per config."""
     configs = list(configs)
     if not configs:
         raise InvalidInput("bench needs at least one configuration")
@@ -312,6 +314,7 @@ def bench(configs) -> list[dict]:
     X, truth = load_csv(configs[0].input_path)
     if truth is None:
         raise InvalidInput("bench input must carry a label column")
+    _as_labels(truth, "truth")  # the scorers' rule, before any solve
     solved = [(cfg, *_solve(cfg, X)) for cfg in configs]
     rows = []
     for cfg, res, sol in solved:

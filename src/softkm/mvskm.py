@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .am import AmOptions, _alternate, _initial_prototypes
+from .am import AmOptions, _alternate
 from .core import RANK_TAU, Solution, as_matrix, center, check_k
 from .errors import DegenerateSimplex, InvalidInput, PreconditionViolated
 from .global_solver import objective
@@ -173,14 +173,12 @@ def solve_mvskm(X, k: int, opts: MvskmOptions) -> tuple[Solution, MvskmState]:
     X = center(X)
     check_k(k, 2, X.n)
     lam, eps = float(opts.lam), float(opts.epsilon)
-    Xc = X.centered
     F, G, trace = _alternate(
-        Xc,
-        _initial_prototypes(X, k, opts.init, opts.seed) - X.mean[:, None],
+        X,
+        k,
         lambda F, GtG: 0.5 * lam * reweight_matrix(F, eps),
-        lambda F, G: mvskm_objective(Xc, F, G, lam, eps),
+        lambda F, G: mvskm_objective(X.centered, F, G, lam, eps),
         opts,
-        Xc,
     )
     F_out = F + X.mean[:, None]
     sol = Solution(F_out, G, objective(X, F_out, G))

@@ -1,11 +1,20 @@
-"""Shared helpers for the test suite: seeded instance generators."""
+"""Shared helpers for the test suite: seeded instance generators, and the
+max-norm bound that the global solver's simplex tests state."""
 
 import numpy as np
+
+from softkm.core import check_k
 
 
 def random_instance(seed, d, n, scale=1.0):
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((d, n))
+
+
+def infinity_bound(k):
+    """Max-norm bound sqrt(k(k-1))/k for unit vectors orthogonal to ones."""
+    check_k(k, 2)
+    return float(np.sqrt(k * (k - 1.0)) / k)
 
 
 def random_row_stochastic(seed, n, k):

@@ -5,6 +5,7 @@ one key table, and every entry point that takes a count k checks it by the
 one rule."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import json
@@ -28,7 +29,6 @@ from softkm import (
     accuracy,
     hard_assign,
     in_convex_hull,
-    infinity_bound,
     is_skmable,
     is_ti_lsdable,
     nmi,
@@ -103,6 +103,27 @@ def test_each_export_is_declared_once():
     assert sorted(set(re.findall(r"\w+", init)) & set(softkm.__all__)) == []
 
 
+def test_no_unused_imports():
+    # no linter runs on the package: every imported name must be used in its
+    # module, unless its line says that bench/harness.py wraps it there
+    wrapped = re.compile(r"# noqa: F401 .*bench/harness\.py")
+    unused = []
+    for path in sorted((ROOT / "src" / "softkm").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name != "*" and name not in used and not wrapped.search(lines[alias.lineno - 1]):
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert unused == []
+
+
 def test_solve_flags_are_the_bench_spec_keys():
     # one table, cli._SPEC_KEYS, maps both onto RunConfig's fields
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -128,7 +149,6 @@ TAKES_K = {
     "is_skmable": (lambda k: is_skmable(X, k), (0,)),
     "is_ti_lsdable": (lambda k: is_ti_lsdable(X.T @ X, k), (0,)),
     "nonuniqueness_gap": (lambda k: nonuniqueness_gap(X, k), (1, 5)),
-    "infinity_bound": (infinity_bound, (1,)),
     "simplex_complement_basis": (simplex_complement_basis, (1,)),
     "truncated_svd": (lambda m: truncated_svd(X, m), (0, 4)),
 }

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import softkm.audits
-from conftest import decomposable_instance, overflowing_perturbation, random_instance
+from conftest import (
+    decomposable_instance,
+    infinity_bound,
+    overflowing_perturbation,
+    random_instance,
+)
 from softkm import (
     InvalidInput,
     KernelMatrix,
@@ -12,7 +17,6 @@ from softkm import (
     NumericalFailure,
     StabilityReport,
     center,
-    infinity_bound,
     is_skmable,
     is_ti_lsdable,
     kernel_embed,

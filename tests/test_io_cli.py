@@ -120,6 +120,13 @@ class TestLoadCsv:
         with pytest.raises(InvalidInput, match="not found"):
             load_csv(str(tmp_path / "nope.csv"))
 
+    @pytest.mark.parametrize("header, width", [("x,label", 2), ("x,y,z,label", 4)])
+    def test_header_width_must_match_the_rows(self, tmp_path, header, width):
+        # without the check, both headers read 2 features and labels from column 3
+        p = write(tmp_path / "a.csv", f"{header}\n1.0,2.0,0\n3.0,4.0,1\n")
+        with pytest.raises(ParseError, match=f"header has {width} columns, rows have 3"):
+            load_csv(p)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["inf", "-inf", "1e300", "9223372036854775808"])
     def test_labels_beyond_int64(self, tmp_path, label):
@@ -434,6 +441,13 @@ class TestCli:
         code = main(["solve-global", "--input", inp, "--k", "2", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_header_narrower_than_rows(self, tmp_path, capsys):
+        inp = write(tmp_path / "in.csv", "x,label\n0,0,0\n5,5,1\n9,0,1\n")
+        out = tmp_path / "o"
+        assert main(["solve-global", "--input", inp, "--k", "2", "--out", str(out)]) == 2
+        assert "header has 2 columns, rows have 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import softkm.cli as cli
 
@@ -653,6 +667,14 @@ class TestCli:
         assert main(["bench", "--spec", spec]) == 2
         assert "must be an integer in" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_truth_rejected_before_any_solve(self, tmp_path, capsys):
+        inp = write(tmp_path / "in.csv", LABELED_2D.replace(",1\n", ",-1\n"))
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"input": inp, "out": str(tmp_path / "out"), "runs": [{"solver": "global", "k": 2}]}))
+        assert main(["bench", "--spec", spec]) == 2
+        assert "truth must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_unrepresentable_lambda_rejected_before_any_solve(self, tmp_path, capsys):
