@@ -17,6 +17,7 @@ from .core import RANK_TAU, check_k, double_center, numerical_rank
 from .errors import InvalidInput, NumericalFailure, SoftKMError
 from .io import (
     RunConfig,
+    _load_table,
     bench,
     format_bench_table,
     load_csv,
@@ -88,18 +89,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    X, _ = load_csv(args.input)
+    # a kernel is read as it is; only the data paths center the input
+    kernel = args.command == "check-tilsdable" and args.kernel
+    A = _load_table(args.input)[0] if kernel else load_csv(args.input)[0].centered
     check_k(args.k, 1)
     tau = args.tau
-    if args.command == "check-skmable":
-        A = X.centered
-    elif args.kernel:
-        A = double_center(KernelMatrix(X.values).K)
-    else:
+    if kernel:
+        A = double_center(KernelMatrix(A).K)
+    elif args.command == "check-tilsdable":
         # the linear kernel's double-centered form H X^T X H has the singular
         # values sigma(Xc)^2, so its relative threshold tau is sqrt(tau) on Xc;
         # a tau <= 0 maps to 0, which numerical_rank rejects
-        A, tau = X.centered, math.sqrt(max(tau, 0.0))
+        tau = math.sqrt(max(tau, 0.0))
     # the audit's own test (is_skmable, is_ti_lsdable), from the one rank computed here
     rank = numerical_rank(A, tau)
     print("true" if rank <= args.k - 1 else "false")

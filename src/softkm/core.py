@@ -47,9 +47,9 @@ class DataMatrix:
 
     Satisfies values = centered + mean * ones^T up to round-off, and every
     row of `centered` sums to zero. All three arrays are read-only. The
-    bundle from `center` owns a copy of the data; the solvers and audits
-    that take raw data instead center a read-only view of C-contiguous
-    input, and that bundle never outlives the call.
+    bundles from `center` and `load_csv` own a copy of the data; the
+    solvers and audits that take raw data instead center a read-only view
+    of C-contiguous input, and that bundle never outlives the call.
     """
 
     values: np.ndarray

@@ -3,11 +3,14 @@ command-line interface.
 
 On-disk CSV convention: one sample per row, optional header row, optional
 final integer column named "label" (recognized only through the header).
-Matrices are transposed to the internal d x n layout on load. An input is
-parsed in bulk by one `np.loadtxt` call below the header; a file that
-call rejects (quoted or blank cells, whitespace-only lines, ragged rows,
-numbers only `float` reads, an empty body) is parsed again cell by cell,
-which gives the same values and reports a bad cell by row and column.
+Matrices are transposed to the internal d x n layout on load. An input
+is read as UTF-8, with or without a byte-order mark. The rows below the
+header are streamed from the open file into one `np.loadtxt` call, so
+the file's text is never held whole; a file that call rejects (quoted or
+blank cells, whitespace-only lines, ragged rows, numbers only `float`
+reads, an empty body) is parsed again cell by cell, which gives the same
+values and reports a bad cell by row and column. Loading peaks at the
+returned arrays plus the parsed table.
 All numeric output is written with 12 significant digits (a matrix with
 one `%` format per block of rows), and a fixed configuration produces
 byte-identical files on every run.
@@ -16,7 +19,7 @@ byte-identical files on every run.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import os
 import time
@@ -25,7 +28,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .am import AmOptions, _check_fields, solve_am
-from .core import DataMatrix, Solution, as_matrix, center
+from .core import (
+    DataMatrix,
+    Solution,
+    _center_view,
+    _finite_matrix,
+    as_matrix,
+    center,  # noqa: F401  (an attribute bench/harness.py wraps)
+)
 from .errors import InvalidInput, ParseError
 from .global_solver import solve_global
 from .metrics import _as_labels, accuracy, hard_assign, nmi, purity
@@ -99,6 +109,14 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
     non-numeric cells, and empty files raise ParseError with the offending
     location, as do non-integer labels and labels outside the int64 range.
     """
+    values, labels = _load_table(path)
+    return _center_view(values), labels
+
+
+def _load_table(path: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """`load_csv` without the centering: the d x n features, a C-ordered
+    array of their own, and the labels. The parsed table is dropped before
+    the caller centers the features."""
     if not os.path.exists(path):
         raise InvalidInput(f"input file not found: {path}")
     try:
@@ -118,7 +136,9 @@ def load_csv(path: str) -> tuple[DataMatrix, np.ndarray | None]:
         data = data[:, :-1]
         if data.shape[1] == 0:
             raise ParseError(f"{path}: no feature columns besides the labels")
-    return center(data.T), labels
+    # centering's own rule, kept for the callers that do not center
+    _finite_matrix(data, "data matrix")
+    return data.T.copy(), labels
 
 
 def _blank(row: list[str]) -> bool:
@@ -137,18 +157,25 @@ def _header(cells: list[str]) -> list[str] | None:
 
 def _parse_bulk(path: str) -> tuple[list[str] | None, np.ndarray]:
     """(header, samples x columns data) with the rows below the header
-    parsed by one np.loadtxt call. Where loadtxt parses a cell, its value
-    is float(cell.strip()); every input it does not parse, and an empty
-    body, raise ValueError, and `_parse_cells` answers instead."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    streamed from the file into one np.loadtxt call. Where loadtxt parses
+    a cell, its value is float(cell.strip()); every input it does not
+    parse, and an empty body, raise ValueError, and `_parse_cells` answers
+    instead."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         first = next((row for row in csv.reader(fh) if not _blank(row)), None)
-        body = fh.read()
-    if first is None or not body.strip():
-        raise ValueError("no rows below the first")
+        # lines up to the first with a nonblank character, which loadtxt
+        # still reads; a body without one would make loadtxt warn
+        lead = []
+        for line in fh:
+            lead.append(line)
+            if line.strip():
+                break
+        else:
+            raise ValueError("no rows below the first")
+        data = np.loadtxt(itertools.chain(lead, fh), delimiter=",", comments=None,
+                          quotechar=None, ndmin=2)
     first = [cell.strip() for cell in first]
     header = _header(first)
-    data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None,
-                      quotechar=None, ndmin=2)
     if header is None:
         if data.shape[1] != len(first):
             raise ValueError("ragged rows")
@@ -160,7 +187,7 @@ def _parse_cells(path: str) -> tuple[list[str] | None, np.ndarray]:
     """(header, samples x columns data), one float() call per cell; a
     ParseError names the row and column of the first bad cell."""
     rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not _blank(row):
                 rows.append((lineno, [cell.strip() for cell in row]))
@@ -193,10 +220,9 @@ def load_labels(path: str) -> np.ndarray:
 
     Accepts a file with a "label" column, a single integer column, or a
     full membership matrix (hard-assigned by row argmax)."""
-    X, labels = load_csv(path)
+    A, labels = _load_table(path)
     if labels is not None:
         return labels
-    A = X.values
     if A.shape[0] == 1:
         v = A[0]
         if not np.all(v == np.round(v)) or v.min() < 0 or v.max() >= 2.0**63:

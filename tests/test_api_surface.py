@@ -154,8 +154,14 @@ TAKES_K = {
 }
 
 
-@pytest.mark.parametrize("name, k", [(name, k) for name, (_, outside) in TAKES_K.items()
-                                     for k in (True, np.True_, 2.0, "3", *outside)])
+# counts of the wrong type, with explicit test ids: positional ids would
+# rename the tests of every later TAKES_K row when a row is added or removed
+NOT_COUNTS = [(True, "True"), (np.True_, "np.True_"), (2.0, "2.0"), ("3", "3")]
+
+
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=f"{name}-{label}") for name, (_, outside) in TAKES_K.items()
+    for k, label in (*NOT_COUNTS, *((k, str(k)) for k in outside))])
 def test_count_must_be_an_integer_in_range(name, k):
     with pytest.raises(InvalidInput):
         TAKES_K[name][0](k)

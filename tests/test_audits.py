@@ -20,6 +20,7 @@ from softkm import (
     is_skmable,
     is_ti_lsdable,
     kernel_embed,
+    load_csv,
     nonuniqueness_gap,
     numerical_rank,
     objective,
@@ -337,6 +338,24 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * size
+
+
+def test_load_csv_peak_is_its_arrays(tmp_path):
+    # the body is streamed into np.loadtxt and the parsed table is dropped
+    # before centering, so loading holds little beyond values and centered
+    rng = np.random.default_rng(44)
+    table = np.column_stack([rng.standard_normal((20_000, 10)), rng.integers(0, 3, 20_000)])
+    path = tmp_path / "labelled.csv"
+    np.savetxt(path, table, fmt="%.12g", delimiter=",",
+               header=",".join([f"x{i}" for i in range(10)] + ["label"]), comments="")
+    tracemalloc.start()
+    try:
+        X, labels = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.values.shape == (10, 20_000) and labels.shape == (20_000,)
+    assert peak <= 1.25 * (X.values.nbytes + X.centered.nbytes)
 
 
 def _unit(seed, shape):

@@ -127,6 +127,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=f"header has {width} columns, rows have 3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n5.0,6.0\n", LABELED_2D],
+                             ids=["no-header", "labelled"])
+    def test_byte_order_mark(self, tmp_path, text):
+        # a BOM read as text would make the first cell "\ufeff1.0", taken for a header
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert paths_agree(str(p))
+        assert loaded(str(p)) == loaded(write(tmp_path / "plain.csv", text))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["inf", "-inf", "1e300", "9223372036854775808"])
     def test_labels_beyond_int64(self, tmp_path, label):
@@ -163,6 +172,12 @@ class TestLoadLabels:
         p = write(tmp_path / "a.csv", "0\n1e300\n")
         with pytest.raises(ParseError, match="nonnegative integers"):
             load_labels(p)
+
+    @pytest.mark.parametrize("text", ["0.9,nan\n0.3,0.7\n", "x,label\ninf,0\n1,1\n"])
+    def test_non_finite_entries(self, tmp_path, text):
+        # labels are read without centering, under centering's finiteness rule
+        with pytest.raises(InvalidInput, match="data matrix contains non-finite"):
+            load_labels(write(tmp_path / "a.csv", text))
 
 
 def loaded(path):
@@ -559,6 +574,12 @@ class TestCli:
         inp = write(tmp_path / "in.csv", "1,2\n3,4\n5,6\n")
         code = main(["check-tilsdable", "--input", inp, "--k", "1", "--kernel"])
         assert code == 2
+
+    def test_check_tilsdable_kernel_not_finite(self, tmp_path, capsys):
+        # a kernel is not centered, but is read under centering's finiteness rule
+        inp = write(tmp_path / "in.csv", "1,nan\nnan,1\n")
+        assert main(["check-tilsdable", "--input", inp, "--k", "2", "--kernel"]) == 2
+        assert "data matrix contains non-finite" in capsys.readouterr().err
 
     def test_eval(self, tmp_path, capsys):
         pred = write(tmp_path / "p.csv", "0\n0\n1\n1\n")
