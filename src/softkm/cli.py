@@ -38,7 +38,7 @@ def _add_solver_parser(sub, name: str, blurb: str):
     p = sub.add_parser(name, help=blurb, argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True, help="samples-as-rows CSV")
     p.add_argument("--k", type=int, required=True, help="number of prototypes")
-    p.add_argument("--lambda", type=float, help="volume penalty weight (required for solve-mvskm)")
+    p.add_argument("--lambda", type=float, help="volume penalty weight (solve-mvskm only; required there)")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float, help="relative objective tolerance for iterative solvers")

@@ -59,7 +59,7 @@ class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
     input lives and the artifacts go. Construction checks every field,
     whatever the solver, against the table that checks AmOptions and
-    MvskmOptions, and an mvskm config also builds its MvskmOptions, whose
+    MvskmOptions; only mvskm takes lam, and builds its MvskmOptions, whose
     rules on lam and epsilon it thereby keeps. lam and epsilon are stored
     as floats; the iterative defaults are the options'.
     """
@@ -76,6 +76,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        if self.lam is not None and self.solver != "mvskm":
+            raise InvalidInput(f"lambda is read by the mvskm solver only, not by {self.solver}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.lam is not None:
             object.__setattr__(self, "lam", float(self.lam))

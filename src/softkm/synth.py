@@ -1,5 +1,5 @@
-"""Seeded synthetic data and the convex-hull oracle used by the
-qualitative solver comparison."""
+"""Seeded synthetic data and the convex-hull test, on the membership
+solver's nearest point, used by the qualitative solver comparison."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from .core import _finite_matrix, check_k
 from .errors import InvalidInput
+from .simplex import solve_membership
 
 __all__ = ["two_gaussians", "in_convex_hull"]
 
@@ -33,20 +34,17 @@ def two_gaussians(n: int = 140, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def in_convex_hull(points, query) -> bool:
-    """Whether `query` is a convex combination of the columns of `points`,
-    decided by linear-programming feasibility. scipy.optimize is loaded on
-    the first call, not with the package."""
+    """Whether `query` is a convex combination of the columns of `points`:
+    max|P g - q| <= 1e-9 (max|P - t| + max|q - t|) for P g the hull's nearest
+    point (`solve_membership`, exact) and t the midrange of P's rows, at any
+    common scale or shift. The solve forms the n x n Gram matrix of n points."""
     P = _finite_matrix(points, "points")
     q = _finite_matrix(query, "query").ravel()
     if q.shape[0] != P.shape[0]:
         raise InvalidInput("query dimension must match the points")
-    d, n = P.shape
-    if n == 0:
+    if P.shape[1] == 0:
         raise InvalidInput("points must hold at least one column")
-    from scipy.optimize import linprog
-
-    A_eq = np.vstack([P, np.ones((1, n))])
-    b_eq = np.append(q, 1.0)
-    res = linprog(np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    return res.status == 0
+    g = solve_membership(P, q[:, None])[0]
+    t = P.min(axis=1) / 2 + P.max(axis=1) / 2  # shifted, a large common offset adds no rounding
+    Pt, qt = P - t[:, None], q - t
+    return bool(abs(Pt @ g - qt).max(initial=0.0) <= 1e-9 * (abs(Pt).max(initial=0.0) + abs(qt).max(initial=0.0)))

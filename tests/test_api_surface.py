@@ -47,30 +47,40 @@ README = ROOT / "README.md"
 
 
 def test_import_loads_no_scipy_submodule(tmp_path):
-    # a fresh process: import, accuracy, softkm bench and softkm eval load
-    # neither scipy.optimize nor scipy.linalg; in_convex_hull loads optimize
+    # a fresh process in which scipy cannot be imported: the scores, every
+    # softkm command and in_convex_hull run on numpy alone
     csv = tmp_path / "in.csv"
     csv.write_text("x,y,label\n0,0,0\n0,1,0\n5,5,1\n5,6,1\n9,0,2\n9,1,2\n", encoding="utf-8")
+    X = np.loadtxt(csv, delimiter=",", skiprows=1, usecols=(0, 1))
+    kernel = tmp_path / "kernel.csv"
+    np.savetxt(kernel, X @ X.T, delimiter=",")
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"input": str(csv), "out": str(tmp_path / "out"), "runs": [
         {"solver": "global", "k": 3}, {"solver": "am", "k": 3, "seeds": [0]},
         {"solver": "mvskm", "k": 3, "lambda": 1.0, "seeds": [0]}]}), encoding="utf-8")
+    data = ["--input", str(csv), "--k", "3"]
+    commands = [["bench", "--spec", str(spec)], ["eval", "--pred", str(csv), "--truth", str(csv)],
+                ["solve-global", *data, "--out", str(tmp_path / "g")],
+                ["solve-am", *data, "--out", str(tmp_path / "a")],
+                ["solve-mvskm", *data, "--lambda", "1", "--out", str(tmp_path / "m")],
+                ["check-skmable", *data], ["check-tilsdable", *data],
+                ["check-tilsdable", "--input", str(kernel), "--k", "3", "--kernel"]]
     code = "\n".join([
-        "import contextlib, io, sys, numpy as np, softkm",
+        "import contextlib, io, json, sys",
+        "sys.modules['scipy'] = None  # importing scipy or any submodule now raises",
+        "import numpy as np, softkm",
         "from softkm.cli import main",
-        "def loaded(): return [m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules]",
-        "print(loaded())",
-        "print(softkm.accuracy([0, 0, 1, 1, 2, 2, 2], [1, 1, 0, 2, 2, 2, 0]), loaded())",
+        "print(softkm.accuracy([0, 0, 1, 1, 2, 2, 2], [1, 1, 0, 2, 2, 2, 0]))",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    codes = main(['bench', '--spec', {str(spec)!r}]), main(['eval', '--pred', {str(csv)!r}, '--truth', {str(csv)!r}])",
-        "print(codes, loaded())",
+        f"    codes = [main(argv) for argv in json.loads({json.dumps(commands)!r})]",
+        "print(codes)",
         "print(softkm.in_convex_hull(np.eye(2), [0.5, 0.5]), softkm.in_convex_hull(np.eye(2), [0.5, 0.6]))",
-        "print('scipy.optimize' in sys.modules)",
+        "print([m for m, module in sys.modules.items() if m.partition('.')[0] == 'scipy' and module])",
     ])
     path = os.pathsep.join(filter(None, (str(Path(softkm.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", f"{5 / 7!r} []", "(0, 0) []", "True False", "True"]
+    assert out.splitlines() == [f"{5 / 7!r}", str([0] * len(commands)), "True False", "[]"]
     assert len((tmp_path / "out" / "bench.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
@@ -124,6 +134,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is a test oracle only: no module of the package imports it, and
+    # the package declares numpy alone
+    imports = []
+    for path in sorted((ROOT / "src" / "softkm").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imports.append((path.name, node.module))
+    assert [(name, module) for name, module in imports if module.partition(".")[0] == "scipy"] == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
 def test_solve_flags_are_the_bench_spec_keys():
     # one table, cli._SPEC_KEYS, maps both onto RunConfig's fields
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -167,8 +193,8 @@ def test_count_must_be_an_integer_in_range(name, k):
         TAKES_K[name][0](k)
 
 
-# entry point -> a malformed argument that numpy or scipy would reject with
-# its own ValueError or TypeError
+# entry point -> a malformed argument that numpy would reject with its own
+# ValueError or TypeError
 MALFORMED = {
     "hard_assign ragged": lambda tmp: hard_assign([[1.0, 0.0], [1.0]]),
     "accuracy ragged": lambda tmp: accuracy([[0], [1, 2]], [0, 1]),

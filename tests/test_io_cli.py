@@ -390,6 +390,20 @@ class TestRun:
             with pytest.raises(InvalidInput):
                 RunConfig(input_path="a", output_dir="b", **fields)
 
+    def test_lambda_only_for_mvskm(self, tmp_path, capsys):
+        # no other solver reads lam, so none may write it into its artifacts
+        for solver in ("global", "am"):
+            with pytest.raises(InvalidInput, match=f"mvskm solver only, not by {solver}"):
+                RunConfig(solver=solver, k=2, input_path="a", output_dir="b", lam=0.0)
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        code = main(["solve-global", "--input", inp, "--k", "2", "--lambda", "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2 and "lambda" in capsys.readouterr().err
+        spec = {"input": inp, "out": str(tmp_path / "b"),
+                "runs": [{"solver": "am", "k": 2, "lambda": 2.0, "seeds": [0]}]}
+        assert main(["bench", "--spec", write(tmp_path / "s.json", json.dumps(spec))]) == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "b").exists()
+
 
 class TestBench:
     def test_rows_and_scores(self, tmp_path):

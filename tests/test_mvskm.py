@@ -305,16 +305,20 @@ class TestSolveMvskm:
         # every value is finite, and for mvskm so are 1/epsilon and
         # lam/(2 epsilon), the largest entries of D and of (lam/2) D; a value
         # is checked whatever the solver, the pair by MvskmOptions alone, and
-        # no check warns
-        config = partial(RunConfig, k=2, input_path="a", output_dir="b", lam=1.0)
-        for make in (partial(MvskmOptions, lam=1.0), partial(config, solver="mvskm")):
+        # no check warns; am takes no lam at all
+        config = partial(RunConfig, k=2, input_path="a", output_dir="b")
+        for make in (partial(MvskmOptions, lam=1.0), partial(config, solver="mvskm", lam=1.0)):
             with pytest.raises(InvalidInput):
                 make(**fields)
+        am = partial(config, solver="am")
         if each_value:
-            with pytest.raises(InvalidInput):
-                config(solver="am", **fields)
+            with pytest.raises(InvalidInput, match=f"{next(iter(fields))} must be"):
+                am(**fields)
         else:
-            config(solver="am", **fields)
+            am(**{name: value for name, value in fields.items() if name != "lam"})
+            if "lam" in fields:
+                with pytest.raises(InvalidInput, match="mvskm solver only"):
+                    am(**fields)
 
     @pytest.mark.filterwarnings("error")
     def test_large_finite_penalty_accepted(self):
