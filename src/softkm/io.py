@@ -59,9 +59,10 @@ class RunConfig:
     """One solver invocation: which solver, its parameters, and where the
     input lives and the artifacts go. Construction checks every field,
     whatever the solver, against the table that checks AmOptions and
-    MvskmOptions; only mvskm takes lam, and builds its MvskmOptions, whose
-    rules on lam and epsilon it thereby keeps. lam and epsilon are stored
-    as floats; the iterative defaults are the options'.
+    MvskmOptions; only mvskm takes lam or an epsilon other than the
+    default, and builds its MvskmOptions, whose rules on lam and epsilon it
+    thereby keeps. lam and epsilon are stored as floats; the iterative
+    defaults are the options'.
     """
 
     solver: str
@@ -78,6 +79,8 @@ class RunConfig:
         _check_fields(self)
         if self.lam is not None and self.solver != "mvskm":
             raise InvalidInput(f"lambda is read by the mvskm solver only, not by {self.solver}")
+        if self.epsilon != MvskmOptions.epsilon and self.solver != "mvskm":
+            raise InvalidInput(f"epsilon is read by the mvskm solver only, not by {self.solver}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.lam is not None:
             object.__setattr__(self, "lam", float(self.lam))

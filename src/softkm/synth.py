@@ -37,7 +37,8 @@ def in_convex_hull(points, query) -> bool:
     """Whether `query` is a convex combination of the columns of `points`:
     max|P g - q| <= 1e-9 (max|P - t| + max|q - t|) for P g the hull's nearest
     point (`solve_membership`, exact) and t the midrange of P's rows, at any
-    common scale or shift. The solve forms the n x n Gram matrix of n points."""
+    common scale or shift. The solve factors the edges of the supports it
+    visits, each of at most d + 1 points, and forms nothing n x n."""
     P = _finite_matrix(points, "points")
     q = _finite_matrix(query, "query").ravel()
     if q.shape[0] != P.shape[0]:

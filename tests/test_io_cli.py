@@ -404,6 +404,22 @@ class TestRun:
         assert main(["bench", "--spec", write(tmp_path / "s.json", json.dumps(spec))]) == 2
         assert not (tmp_path / "o").exists() and not (tmp_path / "b").exists()
 
+    def test_epsilon_only_for_mvskm(self, tmp_path, capsys):
+        # no other solver reads epsilon, so none may write another value
+        # into its artifacts; the default keeps its bytes
+        for solver in ("global", "am"):
+            with pytest.raises(InvalidInput, match=f"epsilon is read by the mvskm solver only, not by {solver}"):
+                RunConfig(solver=solver, k=2, input_path="a", output_dir="b", epsilon=0.5)
+        inp = write(tmp_path / "in.csv", LABELED_2D)
+        for command in ("solve-global", "solve-am"):
+            code = main([command, "--input", inp, "--k", "2", "--epsilon", "0.5",
+                         "--out", str(tmp_path / "o")])
+            assert code == 2 and "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        out = tmp_path / "d"
+        assert main(["solve-am", "--input", inp, "--k", "2", "--epsilon", "1e-8", "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["epsilon"] == 1e-8
+
 
 class TestBench:
     def test_rows_and_scores(self, tmp_path):

@@ -305,7 +305,7 @@ class TestSolveMvskm:
         # every value is finite, and for mvskm so are 1/epsilon and
         # lam/(2 epsilon), the largest entries of D and of (lam/2) D; a value
         # is checked whatever the solver, the pair by MvskmOptions alone, and
-        # no check warns; am takes no lam at all
+        # no check warns; am takes no lam and no epsilon but the default
         config = partial(RunConfig, k=2, input_path="a", output_dir="b")
         for make in (partial(MvskmOptions, lam=1.0), partial(config, solver="mvskm", lam=1.0)):
             with pytest.raises(InvalidInput):
@@ -315,10 +315,11 @@ class TestSolveMvskm:
             with pytest.raises(InvalidInput, match=f"{next(iter(fields))} must be"):
                 am(**fields)
         else:
-            am(**{name: value for name, value in fields.items() if name != "lam"})
-            if "lam" in fields:
-                with pytest.raises(InvalidInput, match="mvskm solver only"):
-                    am(**fields)
+            am(**{name: value for name, value in fields.items() if name not in ("lam", "epsilon")})
+            for name in ("lam", "epsilon"):
+                if name in fields:
+                    with pytest.raises(InvalidInput, match="mvskm solver only"):
+                        am(**{name: fields[name]})
 
     @pytest.mark.filterwarnings("error")
     def test_large_finite_penalty_accepted(self):

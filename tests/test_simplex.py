@@ -400,6 +400,21 @@ class TestExactPath:
         G = solve_membership(F, X)
         assert kkt_gaps_within(F, X, G).all()
 
+    def test_near_vertex_gaps_at_round_off(self):
+        # 20 samples 1e-12 to 1e-8 from a vertex on each of 300 random
+        # shapes: every row's gap is round-off of the row's own scale,
+        # full-support rows included, which end without a gap test
+        eps = np.finfo(float).eps
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            d, k = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+            F = rng.normal(size=(d, k))
+            a = rng.integers(0, k, 20)
+            eta = 10.0 ** rng.uniform(-12.0, -8.0, 20)
+            X = F[:, a] + eta * rng.normal(size=(d, 20))
+            G = solve_membership(F, X)
+            assert kkt_gaps_within(F, X, G, rtol=1000 * (k + d) * eps).all(), (seed, d, k)
+
     def test_every_small_shape_solved(self):
         # one path from a single prototype to seven, in one to forty dimensions
         rng = np.random.default_rng(90)
@@ -443,9 +458,10 @@ class TestExactPath:
             ref = np.sum((X - F2 @ enumerate_faces(F2, X).T) ** 2, axis=0)
             assert np.all(obj - ref <= 1e-12 * (ref + np.sum(X * X, axis=0)))
 
-    def test_singular_warm_support_restarts(self):
-        # a warm support on two equal prototypes is a singular system: the
-        # row starts over at its nearest prototype, never with a NaN
+    def test_singular_warm_support_solved(self):
+        # a warm support on two equal prototypes has a zero edge: the damped
+        # solve gives that edge no weight and the row still reaches the
+        # optimum, never a NaN
         F = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         X = np.array([[0.2, 0.9], [0.1, 0.8]])
         warm = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
@@ -457,9 +473,9 @@ class TestExactPath:
     @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9, 1e-10])
     def test_warm_row_moves_to_a_near_duplicate(self, delta):
         # each warm row starts at its optimum for F0; in F one prototype
-        # lies within delta of another, so the Gram system of a support
-        # holding both is too ill-conditioned to trust, yet the optimum can
-        # move from one twin to the other (by about delta)
+        # lies within delta of another, so a support holding both has an
+        # edge of length delta next to edges of length one, yet the optimum
+        # can move from one twin to the other (by about delta)
         X = np.array([[0.5, 0.3, 0.9, -0.2], [1.0, 2.0, 0.5, 0.4]])
         cases = [(np.array([[0.0, 1.0, 5.0], [0.0, 0.0, -5.0]]), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, delta]]), X)]
         for seed in range(40):

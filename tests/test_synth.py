@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from softkm.simplex import solve_membership
@@ -72,3 +74,18 @@ class TestInConvexHull:
                 g = solve_membership(P, q[:, None])[0]
                 assert np.abs(P @ g - q).max() <= 1e-7 * np.abs(P).max(), (trial, inside)
         assert 100 < sum(answers) < 250
+
+    def test_no_square_matrix_in_the_points(self):
+        # n points are the solve's k prototypes: nothing n x n may be built,
+        # which at n = 2000 would take 32 MB a copy
+        rng = np.random.default_rng(34)
+        P = rng.standard_normal((3, 2000))
+        q = P.mean(axis=1)
+        in_convex_hull(P, q)
+        tracemalloc.start()
+        try:
+            assert in_convex_hull(P, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
